@@ -323,6 +323,10 @@ class PersistentCache:
     # -- connection management -----------------------------------------
     def _init_schema(self, conn: sqlite3.Connection) -> None:
         conn.execute("PRAGMA journal_mode=WAL")
+        # Under WAL, NORMAL skips the fsync on each commit yet keeps the
+        # store consistent: a crash can only lose the latest bounds,
+        # which are recomputed on the next miss.
+        conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("CREATE TABLE IF NOT EXISTS meta ("
                      "key TEXT PRIMARY KEY, value TEXT NOT NULL)")
         row = conn.execute(

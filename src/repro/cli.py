@@ -845,11 +845,15 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 1 if damage else 0
 
 
+#: How often ``repro serve`` checks for a trapped SIGTERM/SIGINT.
+_STOP_POLL_S = 0.05
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the live admission daemon until --duration elapses, a
     SIGTERM/SIGINT arrives, or the operator interrupts it."""
+    import math
     import signal
-    import threading
     import time
     from pathlib import Path
 
@@ -881,54 +885,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if schedule is not None:
         schedule.validate_disks(args.disks)
     handle = ServeHandle(daemon, host=args.host, port=args.port)
-    handle.start()
-    if args.port_file:
-        Path(args.port_file).write_text(f"{handle.port}\n",
-                                        encoding="utf-8")
-    print(f"repro serve: listening on {handle.url} "
-          f"(n_max={daemon.controller.n_max_per_disk}/disk x "
-          f"{args.disks} disks, degraded={daemon.degraded_n_max}, "
-          f"{daemon.controller.shards} shard(s), "
-          f"table build {daemon.build_seconds * 1e3:.1f} ms)")
-    if daemon.state()["restored"]:
-        print(f"repro serve: restored snapshot "
-              f"{args.snapshot_path} "
-              f"({daemon.controller.active} active stream(s))")
-    if schedule is not None:
-        feed = FaultFeed(daemon, schedule,
-                         time_scale=args.time_scale).start()
-        handle.attach(feed)
-        print(f"repro serve: replaying {len(schedule)} fault event(s) "
-              f"at time scale {args.time_scale:g}")
-    interval = args.round_interval
-    if interval is None:
-        interval = 0.2 if args.adaptive else 0.0
-    if interval > 0:
-        handle.attach(RoundTicker(daemon, interval=interval).start())
-        print(f"repro serve: probing one round every {interval:g}s"
-              + (" (adaptive control on)" if args.adaptive else ""))
 
-    # Graceful shutdown: SIGTERM/SIGINT trip an event; the finally
-    # block snapshots the ledger and joins every feed/server thread.
-    # Registration fails with ValueError off the main thread (the
-    # in-process test harness) -- interrupts then fall through to the
-    # KeyboardInterrupt path below.
-    stop = threading.Event()
+    # Graceful shutdown: SIGTERM/SIGINT are trapped before the server
+    # accepts its first request, so a signal sent as soon as the port
+    # file appears still stops the daemon cleanly.  The handler only
+    # records the signal -- taking a lock there (Event.set) can
+    # deadlock against the frame it interrupted -- and the wait loop
+    # polls for it; the finally block snapshots the ledger and joins
+    # every feed/server thread.  Registration fails with ValueError
+    # off the main thread (the in-process test harness) -- interrupts
+    # then fall through to the KeyboardInterrupt path below.
+    received: list[int] = []
     previous: dict = {}
-
-    def _on_signal(signum, frame):
-        stop.set()
-
     try:
         for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, _on_signal)
+            previous[signum] = signal.signal(
+                signum, lambda sig, frame: received.append(sig))
     except ValueError:
         previous = {}
-    signalled = False
     try:
-        signalled = stop.wait(args.duration)  # None: wait forever
+        handle.start()
+        if args.port_file:
+            Path(args.port_file).write_text(f"{handle.port}\n",
+                                            encoding="utf-8")
+        print(f"repro serve: listening on {handle.url} "
+              f"(n_max={daemon.controller.n_max_per_disk}/disk x "
+              f"{args.disks} disks, degraded={daemon.degraded_n_max}, "
+              f"{daemon.controller.shards} shard(s), "
+              f"table build {daemon.build_seconds * 1e3:.1f} ms)")
+        if daemon.state()["restored"]:
+            print(f"repro serve: restored snapshot "
+                  f"{args.snapshot_path} "
+                  f"({daemon.controller.active} active stream(s))")
+        if schedule is not None:
+            feed = FaultFeed(daemon, schedule,
+                             time_scale=args.time_scale).start()
+            handle.attach(feed)
+            print(f"repro serve: replaying {len(schedule)} fault "
+                  f"event(s) at time scale {args.time_scale:g}")
+        interval = args.round_interval
+        if interval is None:
+            interval = 0.2 if args.adaptive else 0.0
+        if interval > 0:
+            handle.attach(RoundTicker(daemon, interval=interval).start())
+            print(f"repro serve: probing one round every {interval:g}s"
+                  + (" (adaptive control on)" if args.adaptive else ""))
+        deadline = (math.inf if args.duration is None
+                    else time.monotonic() + args.duration)
+        while (not received
+               and (remaining := deadline - time.monotonic()) > 0.0):
+            time.sleep(min(_STOP_POLL_S, remaining))
     except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        signalled = True
+        received.append(signal.SIGINT)
     finally:
         handle.stop()
         written = daemon.save_snapshot(clean=True)
@@ -938,7 +946,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
     snap = daemon.controller.snapshot()
-    reason = "signal" if signalled else "duration elapsed"
+    reason = "signal" if received else "duration elapsed"
     print(f"repro serve: stopped ({reason}) after "
           f"{time.time() - daemon.started_at:.1f}s -- "
           f"{snap['requests']} requests, "

@@ -90,6 +90,38 @@ def _largest_finite_theta(g, lo: float, hi: float) -> float:
     return lo
 
 
+def _seed(logmgf: LogMGF, t: float, g, grid: np.ndarray
+          ) -> tuple[int, float]:
+    """Index of the smallest objective value on ``grid`` and that value.
+
+    The whole grid is scored in one array expression, which only picks
+    a candidate index: numpy's ``log``/``expm1``/``log1p``/``exp`` may
+    differ from the C library's in the last bit.  The candidate and its
+    neighbours are then re-scored with the scalar objective ``g``,
+    stepping to a strictly smaller neighbour, with ties going to the
+    lower index as ``np.argmin`` does.  The objective is convex, so the
+    index and the value returned are the ones a scalar scan of the
+    whole grid finds, and everything downstream is scalar arithmetic.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = -grid * t + logmgf.call_array(grid)
+    values[~np.isfinite(values)] = _BIG
+    idx = int(np.argmin(values))
+    best = g(float(grid[idx]))
+    moved = False
+    while idx > 0:
+        left = g(float(grid[idx - 1]))
+        if left > best:
+            break
+        idx, best, moved = idx - 1, left, True
+    while not moved and idx + 1 < len(grid):
+        right = g(float(grid[idx + 1]))
+        if right >= best:
+            break
+        idx, best = idx + 1, right
+    return idx, best
+
+
 def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
     """Tightest Chernoff bound on ``P[X >= t]`` for the given log-MGF.
 
@@ -152,8 +184,7 @@ def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
     # the tail is, and Brent started blind occasionally stalls on the
     # huge flat region near the pole.
     grid = np.concatenate(([0.0], np.geomspace(hi * 1e-9, hi, 512)))
-    values = np.array([g(theta) for theta in grid])
-    seed_idx = int(np.argmin(values))
+    seed_idx, seed_value = _seed(logmgf, t, g, grid)
 
     # An argmin at index 0 means every *positive* grid point is worse
     # than theta = 0 -- either the bound is genuinely trivial, or the
@@ -166,8 +197,7 @@ def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
     while seed_idx == 0 and grid[1] > 0.0 and zooms < 8:
         grid = np.concatenate(
             ([0.0], np.geomspace(grid[1] * 1e-9, grid[1], 512)))
-        values = np.array([g(theta) for theta in grid])
-        seed_idx = int(np.argmin(values))
+        seed_idx, seed_value = _seed(logmgf, t, g, grid)
         zooms += 1
 
     lo_idx = max(seed_idx - 1, 0)
@@ -178,8 +208,8 @@ def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
         g, bounds=(bracket_lo, bracket_hi), method="bounded",
         options={"xatol": max(bracket_hi - bracket_lo, 1e-300) * 1e-11})
     theta_star = float(result.x)
-    log_bound = float(min(result.fun, values[seed_idx]))
-    if values[seed_idx] < result.fun:
+    log_bound = float(min(result.fun, seed_value))
+    if seed_value < result.fun:
         theta_star = float(grid[seed_idx])
 
     if log_bound >= 0.0:

@@ -20,6 +20,8 @@ import abc
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.distributions import Deterministic, Distribution, Gamma, Uniform
 from repro.errors import ConfigurationError, ModelError
 
@@ -47,6 +49,16 @@ class LogMGF(abc.ABC):
     def __call__(self, theta: float) -> float:
         """Evaluate ``log E[e^{theta X}]``; ``math.inf`` outside the
         domain."""
+
+    def call_array(self, theta: np.ndarray) -> np.ndarray:
+        """The log-MGF at every point of a 1-d ``theta`` array.
+
+        The default loops the scalar call.  Terms built on the
+        closed-form laws override it (through
+        :meth:`~repro.distributions.base.Distribution.log_mgf_array`);
+        their values may differ from the scalar call in the last bit.
+        """
+        return np.array([self(float(x)) for x in theta], dtype=float)
 
     @abc.abstractmethod
     def mean(self) -> float:
@@ -87,6 +99,13 @@ class DistributionTerm(LogMGF):
         if theta >= self.theta_sup:
             return math.inf
         return self.dist.log_mgf(theta)
+
+    def call_array(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        out = np.full(theta.shape, math.inf)
+        inside = ~(theta >= self.theta_sup)
+        out[inside] = self.dist.log_mgf_array(theta[inside])
+        return out
 
     def mean(self) -> float:
         return self.dist.mean()
@@ -190,6 +209,18 @@ class ProductMGF(LogMGF):
             if math.isinf(value):
                 return math.inf
             total += count * value
+        return total
+
+    def call_array(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        total = np.zeros(theta.shape)
+        infinite = np.zeros(theta.shape, dtype=bool)
+        with np.errstate(invalid="ignore"):  # inf terms are masked below
+            for term, count in self.factors:
+                values = term.call_array(theta)
+                infinite |= np.isinf(values)
+                total += count * values
+        total[infinite] = math.inf
         return total
 
     def mean(self) -> float:

@@ -108,6 +108,18 @@ class Distribution(abc.ABC):
             f"{type(self).__name__} has no moment generating function; "
             "wrap it in Truncated(...) to obtain one")
 
+    def log_mgf_array(self, theta: NDArray[np.float64]
+                      ) -> NDArray[np.float64]:
+        """:meth:`log_mgf` at every point of a 1-d ``theta`` array.
+
+        The default loops the scalar method.  Closed-form laws override
+        it with numpy arithmetic that mirrors the scalar formula
+        operation by operation; numpy's transcendental functions may
+        still differ from the C library's in the last bit.
+        """
+        return np.array([self.log_mgf(float(x)) for x in theta],
+                        dtype=float)
+
     def has_mgf(self) -> bool:
         """Whether a finite MGF is available on some ``(0, theta_sup)``."""
         try:

@@ -59,6 +59,9 @@ class Deterministic(Distribution):
         """``log E[e^{theta X}] = theta * value`` (eq. 3.1.3's e^{-s SEEK})."""
         return theta * self.value
 
+    def log_mgf_array(self, theta):
+        return np.asarray(theta, dtype=float) * self.value
+
     @property
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)

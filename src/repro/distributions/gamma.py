@@ -101,6 +101,13 @@ class Gamma(Distribution):
             return math.inf
         return -self.shape * math.log1p(-theta / self.rate)
 
+    def log_mgf_array(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        out = np.full(theta.shape, math.inf)
+        inside = ~(theta >= self.rate)
+        out[inside] = -self.shape * np.log1p(-theta[inside] / self.rate)
+        return out
+
     @property
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)

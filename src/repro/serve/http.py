@@ -159,6 +159,18 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+def _field(body: dict, key: str, default, kind):
+    """``kind(body[key])`` (``default`` when absent); a value that does
+    not convert is a client error, not a handler crash."""
+    value = body.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"{key!r} must be {'an integer' if kind is int else 'a number'}"
+            f", got {value!r}") from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests into the daemon; all responses are JSON except
     ``/metrics``."""
@@ -182,6 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -222,12 +236,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, prefix + repr(uptime).encode("ascii") + b"}\n")
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        if length > _MAX_BODY:
+        header = self.headers.get("Content-Length")
+        try:
+            length = 0 if header is None else int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or length > _MAX_BODY:
+            # The body is left unread, so the next request on this
+            # connection would start mid-body: answer, then hang up.
+            self.close_connection = True
+            if length < 0:
+                raise ConfigurationError(
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {header!r}")
             raise ConfigurationError(
                 f"request body too large ({length} bytes)")
+        if length == 0:
+            return {}
         raw = self.rfile.read(length)
         try:
             data = json.loads(raw.decode("utf-8")) if raw.strip() else {}
@@ -297,18 +322,15 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._send_json(200,
                                        daemon.admit(retried=retried))
             if self.path == "/admit/batch":
-                try:
-                    count = int(body.get("count", 1))
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"admit batch 'count' must be an integer, "
-                        f"got {body.get('count')!r}") from None
+                count = _field(body, "count", 1, int)
                 return self._send_json(
                     200, daemon.admit_many(count, retried=retried))
             if self.path == "/release":
+                stream = body.get("stream")
+                if stream is not None:
+                    stream = _field(body, "stream", None, int)
                 return self._send_json(
-                    200, daemon.release(body.get("stream"),
-                                        retried=retried))
+                    200, daemon.release(stream, retried=retried))
             if self.path == "/release/batch":
                 raw = body.get("streams")
                 if not isinstance(raw, list):
@@ -316,7 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
                         "release batch body needs a 'streams' list")
                 try:
                     streams = [int(s) for s in raw]
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise ConfigurationError(
                         f"release batch 'streams' must be integers, "
                         f"got {raw!r}") from None
@@ -330,8 +352,8 @@ class _Handler(BaseHTTPRequestHandler):
                         "fault body needs a 'kind' key")
                 return self._send_json(
                     200, daemon.fault(
-                        str(kind), int(body.get("disk", 0)),
-                        factor=float(body.get("factor", 1.0)),
+                        str(kind), _field(body, "disk", 0, int),
+                        factor=_field(body, "factor", 1.0, float),
                         retried=retried))
             if self.path == "/snapshot":
                 written = daemon.save_snapshot()

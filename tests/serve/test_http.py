@@ -7,6 +7,8 @@ census is unchanged after each test, which is the contract the CI
 smoke leg (and ``-W error::ResourceWarning``) relies on.
 """
 
+import http.client
+import json
 import threading
 import time
 import urllib.error
@@ -114,6 +116,66 @@ class TestRoutes:
                                     timeout=5.0) as resp:
             assert resp.headers["Content-Type"].startswith(
                 "text/plain; version=0.0.4")
+
+
+def _raw_post(handle, path, body: bytes, length: str | None = None):
+    """POST with a hand-set Content-Length; returns (response, JSON)."""
+    conn = http.client.HTTPConnection(handle.host, handle.port,
+                                      timeout=5.0)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length",
+                       str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        reply = conn.getresponse()
+        return reply, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
+class TestMalformedInput:
+    """Hostile fields get a 400 with a JSON error -- never a dropped
+    connection or a handler traceback -- and the daemon keeps serving."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/fault", b'{"kind": "disk_fail", "disk": "x"}'),
+        ("/fault", b'{"kind": "slow_disk", "disk": 0, "factor": "fast"}'),
+        ("/fault", b'{"kind": "disk_fail", "disk": 1e400}'),
+        ("/fault", b'{"kind": "disk_fail", "disk": null}'),
+        ("/release", b'{"stream": "x"}'),
+        ("/release", b'{"stream": [1]}'),
+        ("/release/batch", b'{"streams": [1e400]}'),
+        ("/admit/batch", b'{"count": "many"}'),
+    ])
+    def test_bad_field_is_400(self, served, capfd, path, body):
+        handle, client = served
+        reply, data = _raw_post(handle, path, body)
+        assert reply.status == 400
+        assert "must be" in data["error"]
+        assert not reply.will_close  # framing was fine: keep-alive holds
+        assert client.admit()["admitted"]
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("length, message", [
+        ("abc", "Content-Length"), ("-5", "Content-Length"),
+        ("1.5", "Content-Length"), ("", "Content-Length"),
+        (str(10**6), "too large"),
+    ])
+    def test_bad_content_length_is_400_and_closes(self, served, capfd,
+                                                  length, message):
+        handle, client = served
+        reply, data = _raw_post(handle, "/admit", b"{}", length=length)
+        assert reply.status == 400
+        assert message in data["error"]
+        # The body's extent is unknown, so the connection is dropped
+        # after the answer rather than parsed as a next request.
+        assert reply.will_close
+        assert reply.getheader("Connection") == "close"
+        assert handle.daemon.controller.active == 0
+        assert client.admit()["admitted"]
+        assert client.healthz()["status"] == "ok"
+        assert capfd.readouterr().err == ""
 
 
 class TestConcurrentClients:

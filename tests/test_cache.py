@@ -257,6 +257,18 @@ class TestPersistentCache:
         assert isinstance(again, ChernoffResult)
         assert again == value  # bit-exact float round-trip
 
+    def test_wal_with_normal_sync(self, tmp_path):
+        # A commit per solve must not pay an fsync; WAL keeps the store
+        # consistent without it.
+        store = PersistentCache(tmp_path)
+        store.put("k", 1.0)
+        with store._lock:
+            conn = store._connect()
+            assert conn.execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert conn.execute(
+                "PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+
     def test_unpersistable_values_are_skipped(self, tmp_path):
         store = PersistentCache(tmp_path)
         assert not store.put("arr", np.arange(3))
