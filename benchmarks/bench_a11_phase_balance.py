@@ -39,7 +39,8 @@ def _simulate_random_phase_glitch(spec, sizes, n_total, disks, rounds,
     loads = rng.multinomial(n_total, np.full(disks, 1.0 / disks),
                             size=rounds)
     max_load = int(loads.max())
-    batch = simulate_rounds(spec, sizes, max_load, T, rounds, rng)
+    # Unused, but it advances rng, which the runs below draw from.
+    simulate_rounds(spec, sizes, max_load, T, rounds, rng)
     # For disk loads k < max_load, a prefix of the sweep's requests is a
     # biased subsample; instead re-simulate per distinct load value.
     by_load = {}

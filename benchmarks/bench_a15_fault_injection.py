@@ -56,7 +56,6 @@ def test_a15_fault_injection(benchmark, viking, paper_sizes, record):
     _emit.emit("a15_fault_injection", benchmark,
                nmax_healthy=rows[0][3], nmax_severe=rows[-1][3])
 
-    labels = [r[0] for r in rows]
     bounds = [r[1] for r in rows]
     nmaxes = [r[3] for r in rows]
     # Severity orders both the bound and the admission limit.

@@ -6,8 +6,6 @@ the mixture-transform pipeline; admission counts and bounds are checked
 against class-mixed simulation.
 """
 
-import numpy as np
-
 import _emit
 from repro.analysis import format_probability, render_table
 from repro.core import n_max_plate

@@ -9,8 +9,6 @@ Two claims quantified:
    the per-round glitch exposure only grows mildly -- the §6 trade-off.
 """
 
-import numpy as np
-
 import _emit
 from repro.analysis import format_probability, render_table
 from repro.core import RoundServiceTimeModel

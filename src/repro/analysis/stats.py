@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -28,7 +28,7 @@ def wilson_interval(successes: int, trials: int,
     if not (0.0 < confidence < 1.0):
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence!r}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2 * trials)) / denom
@@ -40,6 +40,8 @@ def wilson_interval(successes: int, trials: int,
 def mean_confidence_interval(samples, confidence: float = 0.95
                              ) -> tuple[float, float, float]:
     """``(mean, low, high)`` Student-t confidence interval of the mean."""
+    from scipy import stats
+
     data = np.asarray(samples, dtype=float).ravel()
     if data.size < 2:
         raise ConfigurationError(

@@ -880,9 +880,11 @@ def bisect_max_n(predicate, n_cap: int, *, full_scan: bool = False,
     best = lo
 
     if verify_above and best < n_cap:
-        checks = np.unique(np.geomspace(
-            best + 1, n_cap, num=verify_above).astype(int))
-        if any(probe(int(n)) for n in checks if n > best):
+        # sorted(set()) rather than np.unique, which imports numpy.ma
+        # (~15 ms) on its first call, inside the daemon's first build.
+        checks = sorted(set(np.geomspace(
+            best + 1, n_cap, num=verify_above).astype(int).tolist()))
+        if any(probe(n) for n in checks if n > best):
             # The prefix assumption is broken; fall back to exactness.
             return exhaustive()
     return best

@@ -54,7 +54,6 @@ from repro.obs import (
     critical_path,
     get_registry,
     get_tracer,
-    read_trace,
     read_trace_lenient,
     render_span_tree,
     set_tracer,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.core.service_time import RoundServiceTimeModel
 from repro.disk.presets import DiskSpec
@@ -43,6 +42,8 @@ def normal_approximation_p_late(service_model: RoundServiceTimeModel,
     It is an *approximation*, not a bound -- for small ``N`` it can
     underestimate the true tail, which is exactly the criticism in §3.1.
     """
+    from scipy import stats
+
     mean = service_model.mean(n)
     std = math.sqrt(service_model.var(n))
     if std == 0.0:

@@ -8,8 +8,9 @@ For a random variable ``X`` with log-MGF ``L(theta)``, Chernoff's theorem
 The objective ``g(theta) = -theta*t + L(theta)`` is convex with
 ``g(0) = 0`` and ``g'(0) = E[X] - t``; the infimum is interior iff
 ``t > E[X]`` (otherwise the trivial bound 1 results).  The paper solves
-``h' = 0`` numerically; we do the same via bounded scalar minimisation on
-a log-spaced bracket inside the MGF's domain.
+``h' = 0`` numerically; we do the same via bounded scalar minimisation
+(Brent's method, ported from scipy) on a log-spaced bracket inside the
+MGF's domain.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.mgf import LogMGF
 from repro.errors import ChernoffError, ConfigurationError
@@ -31,6 +31,10 @@ _BIG = 1e300
 
 #: Relative margin kept between the search interval and the MGF pole.
 _POLE_MARGIN = 1e-12
+
+#: Objective evaluations after which Brent's method stops (scipy's
+#: ``maxiter`` default).
+_BRENT_MAXITER = 500
 
 #: Log-bound below which the tail is indistinguishable from zero in
 #: double precision; the optimiser stops refining past it.
@@ -122,6 +126,102 @@ def _seed(logmgf: LogMGF, t: float, g, grid: np.ndarray
     return idx, best
 
 
+def _bounded_brent(g, lo: float, hi: float, xatol: float
+                   ) -> tuple[float, float]:
+    """Minimise ``g`` on ``[lo, hi]`` by Brent's bounded method; returns
+    ``(x, g(x))``.
+
+    A line-for-line port of ``_minimize_scalar_bounded`` from SciPy 1.17
+    (``scipy/optimize/_optimize.py``; Copyright (c) 2001-2002 Enthought,
+    Inc. and 2003-2024 SciPy Developers; BSD-3-Clause) onto Python
+    floats, with ``maxiter=500``.  Only ``np.abs``/``np.maximum``/
+    ``np.sign`` became ``abs``/``max``/a comparison.  IEEE ``+ - * /``
+    round the same on ``float`` and ``np.float64``, so ``x`` and ``g(x)``
+    equal ``minimize_scalar(g, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol})``'s, which the tests check against scipy.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = g(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    # np.sign(xm - xf) + ((xm - xf) == 0): a zero steps +1.
+                    si = -1.0 if xm - xf < 0.0 else 1.0
+                    rat = tol1 * si
+            else:      # do a golden-section step
+                golden = True
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = -1.0 if rat < 0.0 else 1.0
+        x = xf + si * max(abs(rat), tol1)
+        fu = g(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _BRENT_MAXITER:
+            break
+    return xf, fx
+
+
 def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
     """Tightest Chernoff bound on ``P[X >= t]`` for the given log-MGF.
 
@@ -204,12 +304,12 @@ def chernoff_tail_bound(logmgf: LogMGF, t: float) -> ChernoffResult:
     hi_idx = min(seed_idx + 1, len(grid) - 1)
     bracket_lo = float(grid[lo_idx])
     bracket_hi = float(grid[hi_idx])
-    result = optimize.minimize_scalar(
-        g, bounds=(bracket_lo, bracket_hi), method="bounded",
-        options={"xatol": max(bracket_hi - bracket_lo, 1e-300) * 1e-11})
-    theta_star = float(result.x)
-    log_bound = float(min(result.fun, seed_value))
-    if seed_value < result.fun:
+    x, fun = _bounded_brent(
+        g, bracket_lo, bracket_hi,
+        max(bracket_hi - bracket_lo, 1e-300) * 1e-11)
+    theta_star = float(x)
+    log_bound = float(min(fun, seed_value))
+    if seed_value < fun:
         theta_star = float(grid[seed_idx])
 
     if log_bound >= 0.0:

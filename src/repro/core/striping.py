@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.core.glitch import GlitchModel
 from repro.distributions import hagerup_rub_tail
 from repro.errors import ConfigurationError
@@ -64,6 +62,8 @@ def random_phase_glitch_bound(glitch_model: GlitchModel, n_total: int,
     gives ``b_glitch(k)``, so the unconditional bound is the binomial
     mixture ``E[b_glitch(1 + B)]``.
     """
+    from scipy import stats
+
     _validate(n_total, disks)
     if disks == 1:
         return glitch_model.b_glitch(n_total)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.errors import ConfigurationError
 
 __all__ = ["binomial_tail", "hagerup_rub_tail", "log_hagerup_rub_tail"]
@@ -33,18 +31,51 @@ def _validate(m: int, p: float, g: int) -> None:
         raise ConfigurationError(f"p must be in [0, 1], got {p!r}")
 
 
+#: A tail sum stops once a term falls below this share of the running sum.
+_TAIL_RTOL = 1e-17
+
+
 def binomial_tail(m: int, p: float, g: int) -> float:
     """Exact upper tail ``P[Binomial(M, p) >= g]``.
 
     This is the quantity eq. (3.3.4) sums up; the paper calls evaluating
-    it "feasible but computationally expensive" -- with scipy's
-    regularised incomplete beta it is cheap, and we use it to quantify the
-    slack of the Hagerup-Rüb bound.
+    it "feasible but computationally expensive".  The sum is cheap when
+    it starts at its largest term: that term ``k`` comes from logs,
+    ``exp(log C(M, k) + k log p + (M - k) log(1 - p))``, and the pmf
+    ratio ``(M - k)/(k + 1) * p/(1 - p)`` steps to its neighbours.
+    Above the mode the terms fall from ``g`` upward and are summed
+    directly; at or below it the lower tail from ``g - 1`` downward is
+    summed, and subtracted from 1.  Either sum stops once a term is
+    at most 1e-17 of the running sum.  The tests check the result
+    against exact rational arithmetic and against scipy.
     """
     _validate(m, p, g)
-    if g == 0:
+    if g == 0 or p == 1.0:
         return 1.0
-    return float(stats.binom.sf(g - 1, m, p))
+    if p == 0.0:
+        return 0.0
+    p = float(p)
+    odds = p / (1.0 - p)
+    upper = g > math.floor((m + 1) * p)
+    k = g if upper else g - 1
+    term = math.exp(math.log(math.comb(m, k)) + k * math.log(p)
+                    + (m - k) * math.log1p(-p))
+    total = term
+    if upper:
+        while k < m:
+            term *= (m - k) / (k + 1) * odds
+            k += 1
+            total += term
+            if term <= _TAIL_RTOL * total:
+                break
+        return total
+    while k > 0:
+        term *= k / (m - k + 1) / odds
+        k -= 1
+        total += term
+        if term <= _TAIL_RTOL * total:
+            break
+    return 1.0 - total
 
 
 def log_hagerup_rub_tail(m: int, p: float, g: int) -> float:

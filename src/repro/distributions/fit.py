@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.distributions.base import Distribution
 from repro.distributions.gamma import Gamma
@@ -40,6 +39,8 @@ class FitResult:
 
 
 def _ks(sample: np.ndarray, dist: Distribution) -> tuple[float, float]:
+    from scipy import stats
+
     result = stats.ks_1samp(sample, lambda x: np.asarray(dist.cdf(x)))
     return float(result.statistic), float(result.pvalue)
 

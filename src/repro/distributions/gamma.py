@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.distributions.base import Distribution
 from repro.errors import ConfigurationError
@@ -37,7 +36,6 @@ class Gamma(Distribution):
     def __init__(self, shape: float, rate: float) -> None:
         self.shape = self._require_positive("shape", shape)
         self.rate = self._require_positive("rate", rate)
-        self._frozen = stats.gamma(a=self.shape, scale=1.0 / self.rate)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -74,14 +72,25 @@ class Gamma(Distribution):
             value *= (self.shape + j) / self.rate
         return value
 
+    # pdf/cdf/ppf call scipy's generic law with this instance's
+    # parameters -- what a frozen law does inside -- and import scipy
+    # only here, so that building a Gamma (the model and the daemon do)
+    # does not load it.  Nothing is cached on the instance: the content
+    # fingerprint (repro.cache) reads its attributes.
     def pdf(self, x):
-        return self._frozen.pdf(x)
+        from scipy import stats
+
+        return stats.gamma.pdf(x, a=self.shape, scale=1.0 / self.rate)
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        from scipy import stats
+
+        return stats.gamma.cdf(x, a=self.shape, scale=1.0 / self.rate)
 
     def ppf(self, q):
-        return self._frozen.ppf(q)
+        from scipy import stats
+
+        return stats.gamma.ppf(q, a=self.shape, scale=1.0 / self.rate)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.distributions.base import Distribution
 from repro.errors import ConfigurationError
@@ -28,7 +27,6 @@ class LogNormal(Distribution):
             raise ConfigurationError(f"mu must be finite, got {mu!r}")
         self.mu = float(mu)
         self.sigma = self._require_positive("sigma", sigma)
-        self._frozen = stats.lognorm(s=self.sigma, scale=math.exp(self.mu))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -61,14 +59,22 @@ class LogNormal(Distribution):
             raise ConfigurationError("moment order must be >= 0")
         return math.exp(k * self.mu + 0.5 * (k * self.sigma) ** 2)
 
+    # As in Gamma: scipy is imported by these three calls alone, and
+    # nothing is cached on the instance.
     def pdf(self, x):
-        return self._frozen.pdf(x)
+        from scipy import stats
+
+        return stats.lognorm.pdf(x, s=self.sigma, scale=math.exp(self.mu))
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        from scipy import stats
+
+        return stats.lognorm.cdf(x, s=self.sigma, scale=math.exp(self.mu))
 
     def ppf(self, q):
-        return self._frozen.ppf(q)
+        from scipy import stats
+
+        return stats.lognorm.ppf(q, s=self.sigma, scale=math.exp(self.mu))
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.lognormal(self.mu, self.sigma, size=size)

@@ -32,12 +32,12 @@ coordinates, never on query order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.farm import degraded_mode_n_max, mirror_of, shed_target
+from repro.core.farm import degraded_mode_n_max, shed_target
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER
 

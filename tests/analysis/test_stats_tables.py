@@ -1,7 +1,10 @@
 """Analysis-utility tests: intervals, batch means, tables."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.analysis import (
     ComparisonRow,
@@ -39,6 +42,25 @@ class TestWilson:
             lo, hi = wilson_interval(int(k), n)
             hits += lo <= p <= hi
         assert hits / trials > 0.92
+
+    @pytest.mark.parametrize("confidence", [
+        0.01, 0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_z_matches_scipy_normal_quantile(self, confidence):
+        # wilson_interval takes z from the standard library; scipy's
+        # norm.ppf is the reference it replaced.
+        q = 0.5 + confidence / 2.0
+        z = float(stats.norm.ppf(q))
+        assert NormalDist().inv_cdf(q) == pytest.approx(z, rel=1e-14, abs=0)
+        for successes, trials in ((0, 1000), (7, 100), (50, 50)):
+            p_hat = successes / trials
+            denom = 1.0 + z * z / trials
+            centre = (p_hat + z * z / (2 * trials)) / denom
+            half = (z / denom) * np.sqrt(
+                p_hat * (1.0 - p_hat) / trials
+                + z * z / (4.0 * trials * trials))
+            want = (max(0.0, centre - half), min(1.0, centre + half))
+            got = wilson_interval(successes, trials, confidence)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-16)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

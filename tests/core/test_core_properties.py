@@ -17,12 +17,7 @@ from scipy import stats
 
 from repro.core import GlitchModel, RoundServiceTimeModel, n_max_plate
 from repro.core.chernoff import chernoff_tail_bound
-from repro.core.mgf import (
-    ConstantTerm,
-    GammaTerm,
-    ProductMGF,
-    UniformTerm,
-)
+from repro.core.mgf import GammaTerm
 from repro.distributions import Gamma, hagerup_rub_tail
 
 shapes = st.floats(min_value=0.3, max_value=30.0)

@@ -1,6 +1,5 @@
 """Heterogeneous stream-class extension tests."""
 
-import numpy as np
 import pytest
 
 from repro.core import RoundServiceTimeModel, n_max_plate

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import RoundServiceTimeModel, oyang_seek_bound
-from repro.disk import single_zone_viking
 from repro.distributions import LogNormal
 from repro.errors import ConfigurationError, ModelError
 from repro.server.simulation import simulate_rounds

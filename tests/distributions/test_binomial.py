@@ -1,6 +1,7 @@
 """Binomial tail and Hagerup-Rüb bound tests (eq. 3.3.4/3.3.5)."""
 
 import math
+import random
 
 import pytest
 from scipy import stats
@@ -38,6 +39,68 @@ class TestExactTail:
             binomial_tail(10, 1.5, 2)
         with pytest.raises(ConfigurationError):
             binomial_tail(10, 0.5, -1)
+
+
+def _exact_tail(m, p, g):
+    """``P[Binomial(m, p) >= g]`` in exact rational arithmetic (``p`` is
+    a dyadic rational), rounded once to the nearest float."""
+    num, den = p.as_integer_ratio()
+    total = sum(math.comb(m, k) * num ** k * (den - num) ** (m - k)
+                for k in range(g, m + 1))
+    return total / den ** m
+
+
+def _random_p(rng):
+    """A rate on a linear, a log or a near-one scale."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.random()
+    if roll < 0.8:
+        return 10.0 ** rng.uniform(-6.0, 0.0)
+    return 1.0 - 10.0 ** rng.uniform(-6.0, 0.0)
+
+
+class TestExactTailAccuracy:
+    def test_against_exact_arithmetic(self):
+        rng = random.Random(20240)
+        branches = set()
+        for _ in range(300):
+            m = rng.randint(1, 200)
+            p = _random_p(rng)
+            g = rng.randint(0, m)
+            exact = _exact_tail(m, p, g)
+            got = binomial_tail(m, p, g)
+            if exact >= 1e-200:
+                assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (
+                    m, p, g)
+            else:
+                assert got <= 1e-199, (m, p, g)
+            branches.add(g > math.floor((m + 1) * p))
+        assert branches == {False, True}
+
+    def test_against_scipy_up_to_m_20000(self):
+        rng = random.Random(20241)
+        checked = 0
+        for _ in range(200):
+            m = rng.randint(1, 20000)
+            p = _random_p(rng)
+            sd = math.sqrt(m * p * (1.0 - p))
+            g = max(0, min(m, int(m * p + sd * rng.uniform(-8.0, 30.0))))
+            want = float(stats.binom.sf(g - 1, m, p))
+            if want < 1e-200:
+                continue
+            assert binomial_tail(m, p, g) == pytest.approx(
+                want, rel=1e-11, abs=0.0), (m, p, g)
+            checked += 1
+        assert checked >= 150
+
+    def test_deep_tail_against_exact_arithmetic(self):
+        # A tail near 1e-287, where scipy's sf is off in the fifth digit.
+        m, p, g = 100, 1.2312392379525103e-05, 64
+        exact = _exact_tail(m, p, g)
+        assert 0.0 < exact < 1e-280
+        assert binomial_tail(m, p, g) == pytest.approx(exact, rel=1e-13,
+                                                       abs=0.0)
 
 
 class TestHagerupRub:

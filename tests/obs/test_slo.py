@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy import stats
 
 from repro.distributions import binomial_tail
 from repro.errors import ConfigurationError
@@ -22,6 +23,19 @@ class TestSlotGlitchBudget:
         tail = binomial_tail(1200, budget, 13)
         assert tail <= 0.01
         assert tail == pytest.approx(0.01, rel=1e-6)
+
+    def test_matches_a_scipy_backed_bisection(self):
+        # The same bisection on scipy's binomial survival function.
+        m, g, eps = 1200, 12, 0.01
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if stats.binom.sf(g, m, mid) <= eps:
+                lo = mid
+            else:
+                hi = mid
+        assert slot_glitch_budget(m, g, eps) == pytest.approx(
+            lo, rel=1e-12, abs=0.0)
 
     def test_monotone_in_epsilon(self):
         loose = slot_glitch_budget(1200, 12, 0.1)

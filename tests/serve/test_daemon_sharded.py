@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.errors import AdmissionError, ConfigurationError
+from repro.errors import AdmissionError
 from repro.serve import (ServeClient, ServeConfig, ServeDaemon,
                          ServeHandle)
 

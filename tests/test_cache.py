@@ -38,6 +38,7 @@ from repro.core import (
     n_max_plate,
 )
 from repro.core.chernoff import ChernoffResult
+from repro.distributions import Gamma, LogNormal
 from repro.errors import ConfigurationError
 
 
@@ -76,6 +77,16 @@ class TestFingerprint:
         m2 = RoundServiceTimeModel.for_disk(viking_single_zone,
                                             paper_sizes)
         assert m1.fingerprint != m2.fingerprint
+
+    @pytest.mark.parametrize("make", [lambda: Gamma(2.0, 3.0),
+                                      lambda: LogNormal(0.5, 0.8)])
+    def test_law_fingerprint_ignores_scipy_use(self, make):
+        # pdf/cdf/ppf reach scipy; a law kept on the instance would
+        # change the fingerprint the first time one of them runs.
+        law = make()
+        before = fingerprint(law)
+        law.pdf(1.0), law.cdf(1.0), law.ppf(0.5)
+        assert fingerprint(law) == before == fingerprint(make())
 
     def test_instance_fingerprint_unique(self):
         assert (instance_fingerprint("x")

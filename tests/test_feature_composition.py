@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.gss import n_max_gss
 from repro.core.heterogeneous import StreamClass, class_mixture_model
 from repro.core.trickmode import n_max_with_ff
-from repro.disk import OuterZonesPlacement, quantum_viking_2_1
+from repro.disk import OuterZonesPlacement
 from repro.distributions import Gamma
 from repro.server.simulation import simulate_rounds
 
