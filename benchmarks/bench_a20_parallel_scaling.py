@@ -4,11 +4,9 @@ Four infrastructure claims behind the Figure 1 / Table 2 / §5
 regeneration speed:
 
 1. The chunk fan-out of :mod:`repro.parallel` is *bit-identical* across
-   worker counts AND transports for a fixed seed.  The shared-memory
-   transport writes each chunk's arrays in place and sends only scalars
-   back, so its fan-out overhead sits below the pickling path's (both
-   wall-clocks are recorded; the comparison is informational on boxes
-   where scheduling noise dominates).
+   worker counts for a fixed seed.  The 2-worker process pool and the
+   in-process ``jobs=1`` run are both timed (the comparison is
+   informational: on a 1-core box the pool can only add overhead).
 2. Sweeping Figure-1's per-``N`` grid through one shared pool
    (:func:`repro.parallel.sweep_p_late_parallel`) beats the serial
    point-by-point loop; the >= 2x assertion only fires on hosts with
@@ -75,11 +73,10 @@ def _batches_equal(a, b):
             and np.array_equal(a.glitches, b.glitches))
 
 
-def _timed_transport(spec, sizes, transport, jobs=2):
+def _timed_rounds(spec, sizes, jobs):
     start = time.perf_counter()
     batch = simulate_rounds_parallel(spec, sizes, N, T, rounds=ROUNDS,
-                                     seed=SEED, jobs=jobs,
-                                     transport=transport)
+                                     seed=SEED, jobs=jobs)
     return batch, time.perf_counter() - start
 
 
@@ -128,17 +125,12 @@ def _restart_build(cache_dir):
 
 def test_a20_parallel_scaling(benchmark, viking, paper_sizes, record,
                               record_json, tmp_path, monkeypatch):
-    # 1. Transport comparison: shm fan-out vs full-pickle fan-out.
-    batch_shm, shm_s = benchmark.pedantic(
-        _timed_transport, args=(viking, paper_sizes, "shm"),
+    # 1. The 2-worker pool against the in-process run.
+    batch_pool, pool_s = benchmark.pedantic(
+        _timed_rounds, args=(viking, paper_sizes, 2),
         rounds=1, iterations=1)
-    batch_pickle, pickle_s = _timed_transport(viking, paper_sizes,
-                                              "pickle")
-    batch_serial, serial_s = _timed_transport(viking, paper_sizes,
-                                              "pickle", jobs=1)
-    assert _batches_equal(batch_shm, batch_pickle), (
-        "fan-out must be bit-identical across transports")
-    assert _batches_equal(batch_shm, batch_serial), (
+    batch_serial, serial_s = _timed_rounds(viking, paper_sizes, 1)
+    assert _batches_equal(batch_pool, batch_serial), (
         "fan-out must be bit-identical across jobs")
 
     # 2. Sweep-axis parallelism: whole N-grid through one pool.
@@ -180,9 +172,8 @@ def test_a20_parallel_scaling(benchmark, viking, paper_sizes, record,
     rows = [
         ["p_late rounds", f"{ROUNDS}"],
         ["serial (jobs=1) [s]", f"{serial_s:.2f}"],
-        ["pickle fan-out (jobs=2) [s]", f"{pickle_s:.2f}"],
-        ["shm fan-out (jobs=2) [s]", f"{shm_s:.2f}"],
-        ["bit-identical across transports/jobs", "yes"],
+        ["process pool (jobs=2) [s]", f"{pool_s:.2f}"],
+        ["bit-identical across jobs", "yes"],
         [f"sweep {list(SWEEP_NS)} serial [s]", f"{sweep_serial_s:.2f}"],
         [f"sweep parallel (jobs={sweep_jobs}) [s]",
          f"{sweep_par_s:.2f}"],
@@ -204,12 +195,11 @@ def test_a20_parallel_scaling(benchmark, viking, paper_sizes, record,
         "host_cores": cores,
         "wall_clock_s": {
             "serial": serial_s,
-            "pickle_jobs2": pickle_s,
-            "shm_jobs2": shm_s,
+            "pool_jobs2": pool_s,
             "sweep_serial": sweep_serial_s,
             f"sweep_jobs{sweep_jobs}": sweep_par_s,
         },
-        "shm_vs_pickle_ratio": shm_s / pickle_s,
+        "pool_vs_serial_ratio": pool_s / serial_s,
         "sweep_speedup": sweep_speedup,
         "optimisation_reduction": ratio,
         "restart_cold_solves": cold["misses"],

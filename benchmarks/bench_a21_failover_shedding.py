@@ -13,8 +13,9 @@ disk mid-run and we measure the surviving streams' glitch rates
   (mean service > round length at the paper's operating point): the
   bound must be violated, demonstrating that shedding is load-bearing.
 
-A vectorised two-phase simulation (:func:`simulate_failover_rounds`)
-cross-checks the degraded-phase overrun rates independently of the
+The farm sweep kernel (:func:`repro.server.scenario.compile_scenario` +
+:func:`~repro.server.scenario.simulate_scenario`) cross-checks the
+survivor's degraded-phase overrun rates independently of the
 event-driven machinery.
 """
 
@@ -22,13 +23,16 @@ import numpy as np
 
 from repro.analysis import format_probability, render_table
 from repro.core import RoundServiceTimeModel
-from repro.server.faults import run_failover_scenario
-from repro.server.simulation import simulate_failover_rounds
+from repro.server.faults import (FaultSchedule, SheddingPolicy, disk_fail,
+                                 run_failover_scenario)
+from repro.server.scenario import compile_scenario, simulate_scenario
 
 T = 1.0
 DELTA = 0.01
 ROUNDS = 300
 FAIL_ROUND = 40
+#: Healthy and degraded rounds of the vectorised cross-check.
+VEC_PHASE_ROUNDS = 2000
 
 
 def run_scenarios(spec, sizes):
@@ -39,6 +43,18 @@ def run_scenarios(spec, sizes):
                                    rounds=ROUNDS, fail_round=FAIL_ROUND,
                                    shedding=False, seed=0)
     return shed, noshed
+
+
+def vectorised_survivor(spec, sizes, n_per_disk, policy):
+    """Survivor-disk degraded phase of a mirrored pair on the kernel:
+    ``VEC_PHASE_ROUNDS`` healthy rounds, then disk 0 fails for as many
+    more."""
+    compiled = compile_scenario(
+        (spec, spec), sizes, n_per_disk=n_per_disk, t=T,
+        rounds=2 * VEC_PHASE_ROUNDS,
+        schedule=FaultSchedule([disk_fail(VEC_PHASE_ROUNDS * T, disk=0)]),
+        policy=policy)
+    return simulate_scenario(compiled, seed=0).survivor_degraded()
 
 
 def test_a21_failover_shedding(benchmark, viking, paper_sizes, record,
@@ -53,11 +69,14 @@ def test_a21_failover_shedding(benchmark, viking, paper_sizes, record,
     b_shed = model.b_late(2 * degraded, T)
     b_noshed = model.b_late(2 * healthy, T)
 
-    # Vectorised cross-check of the degraded phases.
-    vec_shed = simulate_failover_rounds(
-        viking, paper_sizes, healthy, 2 * degraded, T, seed=0)
-    vec_noshed = simulate_failover_rounds(
-        viking, paper_sizes, healthy, 2 * healthy, T, seed=0)
+    # Vectorised cross-check of the survivor's degraded phase: it
+    # serves 2 * degraded requests per round with shedding and
+    # 2 * healthy without.
+    vec_shed = vectorised_survivor(viking, paper_sizes, healthy,
+                                   SheddingPolicy(degraded))
+    vec_noshed = vectorised_survivor(viking, paper_sizes, healthy, None)
+    assert vec_shed.requests == VEC_PHASE_ROUNDS * 2 * degraded
+    assert vec_noshed.requests == VEC_PHASE_ROUNDS * 2 * healthy
 
     rows = [
         ["healthy N_max / disk", str(healthy), str(healthy)],
@@ -66,8 +85,8 @@ def test_a21_failover_shedding(benchmark, viking, paper_sizes, record,
         ["analytic b_late(batch)", format_probability(b_shed),
          format_probability(b_noshed)],
         ["vectorised p_late(batch)",
-         format_probability(vec_shed.p_late_degraded),
-         format_probability(vec_noshed.p_late_degraded)],
+         format_probability(vec_shed.p_late),
+         format_probability(vec_noshed.p_late)],
         ["streams shed", str(shed.report.shed_streams),
          str(noshed.report.shed_streams)],
         ["mirror failovers", str(shed.report.failovers),
@@ -91,8 +110,8 @@ def test_a21_failover_shedding(benchmark, viking, paper_sizes, record,
         "fail_round": FAIL_ROUND,
         "healthy_n_max": healthy, "degraded_n_max": degraded,
         "b_late_shed_batch": b_shed, "b_late_noshed_batch": b_noshed,
-        "vectorized_p_late_shed_batch": vec_shed.p_late_degraded,
-        "vectorized_p_late_noshed_batch": vec_noshed.p_late_degraded,
+        "vectorized_p_late_shed_batch": vec_shed.p_late,
+        "vectorized_p_late_noshed_batch": vec_noshed.p_late,
         "shed": {
             "max_glitch_rate": shed.max_glitch_rate,
             "aggregate_glitch_rate": shed.aggregate_glitch_rate,
@@ -119,8 +138,8 @@ def test_a21_failover_shedding(benchmark, viking, paper_sizes, record,
     assert not noshed.within_bound, noshed.max_glitch_rate
     assert noshed.max_glitch_rate > 10 * DELTA
     # The vectorised path agrees on both operating points.
-    assert vec_shed.p_late_degraded <= DELTA
-    assert vec_noshed.p_late_degraded > 0.5
+    assert vec_shed.p_late <= DELTA
+    assert vec_noshed.p_late > 0.5
     # Failover actually engaged, and shedding hit its target exactly:
     # each degraded round redirects the failed disk's share of the
     # batch (half the serving streams) to the survivor.

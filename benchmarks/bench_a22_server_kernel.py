@@ -3,12 +3,14 @@
 The event-driven :func:`run_failover_scenario` walks every request of
 every round through the simulation calendar: exact arm positions,
 per-stream buffers, mid-sweep fault reactions.  The farm sweep kernel
-(:func:`repro.server.simulation.simulate_farm_rounds`) replays the same
+(:func:`repro.server.scenario.compile_scenario` +
+:func:`~repro.server.scenario.simulate_scenario`) replays the same
 scenario -- all disks, the mirror-failover phases, the shedding
 populations -- as batched NumPy sweeps.  This bench times both on the
-same scenario and pins the kernel's speedup, and checks the two agree
-statistically (the kernel's degraded phase must stay within the same
-``delta`` the event-driven shed survivors meet).
+same scenario (the kernel leg includes compiling the schedule) and
+pins the kernel's speedup, and checks the two agree statistically (the
+kernel's degraded phase must stay within the same ``delta`` the
+event-driven shed survivors meet).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so the CI regression leg
 can run it in seconds; the speedup floor relaxes accordingly (constant
@@ -20,8 +22,9 @@ import time
 
 from repro.analysis import format_probability, render_table
 from repro.core.farm import degraded_mode_n_max
-from repro.server.faults import run_failover_scenario
-from repro.server.simulation import simulate_farm_rounds
+from repro.server.faults import (FaultSchedule, SheddingPolicy, disk_fail,
+                                 run_failover_scenario)
+from repro.server.scenario import compile_scenario, simulate_scenario
 
 T = 1.0
 DELTA = 0.01
@@ -45,10 +48,11 @@ def run_both(spec, sizes):
                                   rounds=ROUNDS, fail_round=FAIL_ROUND,
                                   shedding=True, seed=0)
     mid = time.perf_counter()
-    kernel = simulate_farm_rounds(spec, sizes, disks=2,
-                                  n_per_disk=healthy, t=T, rounds=ROUNDS,
-                                  fail_round=FAIL_ROUND, shedding=True,
-                                  degraded_n_max=failure_proof, seed=0)
+    compiled = compile_scenario(
+        (spec, spec), sizes, n_per_disk=healthy, t=T, rounds=ROUNDS,
+        schedule=FaultSchedule([disk_fail(FAIL_ROUND * T, disk=0)]),
+        policy=SheddingPolicy(failure_proof))
+    kernel = simulate_scenario(compiled, seed=0)
     end = time.perf_counter()
     return event, kernel, mid - start, end - mid
 

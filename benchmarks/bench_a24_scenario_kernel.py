@@ -1,18 +1,16 @@
 """A24: perf -- compiled fault-storm scenarios on the sweep kernel.
 
-A22 pinned the kernel's speedup on the one scenario shape the old
-``simulate_farm_rounds`` could express (single failure, single
-recovery).  The scenario compiler (:mod:`repro.server.scenario`)
-removes that restriction: an arbitrary :class:`FaultSchedule` -- here a
-fault *storm* mixing a disk failure, a farm-wide recalibration storm
-and a recovery -- compiles to constant-state phase batches priced by
-the same vectorised kernel.  This bench times the storm through the
-event engine and through ``compile_scenario``/``simulate_scenario``,
-pins the kernel speedup, checks statistical agreement, and compares
-the ``threads`` parallel transport against the fork-based ``shm``
-transport on the identical compiled plan (bit-identical results are
-asserted, the timing ratio is emitted for trend tracking without a
-floor -- thread scaling is GIL-bound for the NumPy-light phases).
+A22 pins the kernel's speedup on the plain failover shape (single
+failure).  The scenario compiler (:mod:`repro.server.scenario`) takes
+an arbitrary :class:`FaultSchedule` -- here a fault *storm* mixing a
+disk failure, a farm-wide recalibration storm and a recovery -- and
+compiles it to constant-state phase batches priced by the same
+vectorised kernel.  This bench times the storm through the event
+engine and through ``compile_scenario``/``simulate_scenario``, pins
+the kernel speedup, checks statistical agreement, and checks that a
+2-worker pool prices the identical compiled plan bit-identically to
+the serial run (its wall clock is emitted for trend tracking, without
+a floor).
 
 The event leg runs under an in-memory :class:`Tracer` so the emission
 also carries per-class fragment-latency histograms, the payload
@@ -81,11 +79,10 @@ def run_both(spec, sizes):
             mid - start, end - mid, healthy, failure_proof)
 
 
-def transport_seconds(compiled, transport: str):
-    """Wall clock of one 2-way parallel pricing of the compiled plan."""
+def pooled_seconds(compiled):
+    """Wall clock of one 2-worker pricing of the compiled plan."""
     start = time.perf_counter()
-    estimate = simulate_scenario(compiled, seed=0, jobs=2,
-                                 transport=transport)
+    estimate = simulate_scenario(compiled, seed=0, jobs=2)
     return estimate, time.perf_counter() - start
 
 
@@ -111,11 +108,10 @@ def test_a24_scenario_kernel(benchmark, viking, paper_sizes, record,
         run_both, args=(viking, paper_sizes), rounds=1, iterations=1)
     speedup = event_s / kernel_s
 
-    fork_est, fork_s = transport_seconds(compiled, "shm")
-    threads_est, threads_s = transport_seconds(compiled, "threads")
-    assert threads_est.per_disk == fork_est.per_disk, (
-        "threads transport diverged from shm on the identical plan")
-    threads_vs_fork = fork_s / threads_s
+    pooled, pooled_s = pooled_seconds(compiled)
+    assert pooled.per_disk == kernel.per_disk, (
+        "the jobs=2 pool diverged from the serial run on the identical "
+        "plan")
 
     degraded = [phase for phase in kernel.phases
                 if phase.name.startswith("degraded")]
@@ -132,7 +128,7 @@ def test_a24_scenario_kernel(benchmark, viking, paper_sizes, record,
         [f"within delta = {DELTA:g}",
          "yes" if event.within_bound else "NO",
          "yes" if worst_kernel <= DELTA else "NO"],
-        ["threads vs fork (jobs=2)", "-", f"{threads_vs_fork:.2f}x"],
+        ["jobs=2 pool [s], bit-identical", "-", f"{pooled_s:.4f}"],
     ]
     record("a24_scenario_kernel", render_table(
         ["quantity", "event engine", "scenario kernel"], rows,
@@ -148,9 +144,7 @@ def test_a24_scenario_kernel(benchmark, viking, paper_sizes, record,
         "event_seconds": event_s,
         "kernel_seconds": kernel_s,
         "speedup": speedup,
-        "threads_seconds": threads_s,
-        "fork_seconds": fork_s,
-        "threads_vs_fork": threads_vs_fork,
+        "pooled_jobs2_seconds": pooled_s,
         "event_max_glitch_rate": event.max_glitch_rate,
         "kernel_worst_degraded_glitch_rate": worst_kernel,
         "latency_histograms": latency_histograms(tracer),

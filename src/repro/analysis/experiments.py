@@ -134,9 +134,9 @@ _ENTRIES = [
     Experiment("A24", "Scenario-compiler speedup",
                "a fault storm (failure + recalibration storm + "
                "recovery) through the event engine vs the scenario "
-               "compiler's kernel path, plus the threads-vs-fork "
-               "transport ratio; the compiled-path speedup is a CI "
-               "regression gate",
+               "compiler's kernel path, plus a check that a 2-worker "
+               "pool prices it bit-identically to the serial run; the "
+               "compiled-path speedup is a CI regression gate",
                "bench_a24_scenario_kernel.py", ("a24_scenario_kernel",)),
     Experiment("A25", "Closed-loop adaptive admission",
                "a static and an adaptive daemon through the same "

@@ -92,11 +92,11 @@ def failover_phase_batches(disks: int, n_per_disk: int,
     within the degraded-mode bound.  On an odd farm the last disk has
     no partner and its requests are simply lost (no survivor doubles).
 
-    This is the population model :func:`repro.server.simulation.
-    simulate_farm_rounds` feeds to the vectorised sweep kernel; the
+    These are the steady-state batches that
+    :func:`repro.server.scenario.compile_scenario` walks a single
+    failure into (round by round, from a fault schedule); the
     event-driven :func:`repro.server.faults.run_failover_scenario`
-    reaches the same steady-state batches through per-round shedding
-    decisions.
+    reaches them through per-round shedding decisions.
     """
     if disks < 1:
         raise ConfigurationError(f"disks must be >= 1, got {disks!r}")

@@ -149,7 +149,7 @@ def bound_table_from_estimate(estimate, bounds) -> list[BoundComparison]:
     """Observed vs analytic ``p_late`` for a kernel-path estimate.
 
     The statistical engine produces a
-    :class:`~repro.server.simulation.FarmRoundsEstimate` rather than a
+    :class:`~repro.server.scenario.FarmRoundsEstimate` rather than a
     trace, but its per-phase records carry exactly the counts a
     :class:`BoundComparison` needs; ``bounds`` maps phase names to
     analytic ``b_late`` values (``None`` entries -- e.g. slow-disk

@@ -17,28 +17,19 @@ Two parallelism axes are exposed:
   Figure-1 / Table-2 grid into one global task list, so a full sweep
   saturates all cores even when a single point has too few chunks to.
 
-Transport
----------
-Workers write their result arrays directly into
-:mod:`multiprocessing.shared_memory` blocks sized up front from the
-fixed decomposition and return only scalars, so nothing heavier than a
-chunk index crosses the process boundary (``transport="shm"``, the
-default).  ``transport="pickle"`` keeps the historical path in which
-each worker pickles its :class:`RoundBatch` back through the pool --
-retained for the A20 before/after measurement and as a fallback.
-``transport="threads"`` (or ``REPRO_PARALLEL_TRANSPORT=threads``) runs
-the same chunk workers on a :class:`~concurrent.futures.
-ThreadPoolExecutor` instead -- results are shared by address space, so
-there is neither fork nor pickling; a real win on free-threaded
-builds and the only option where fork is unavailable.  All transports
-produce bit-identical arrays; the shared-memory blocks are unlinked on
-every exit path, including worker exceptions (see
-``docs/PERFORMANCE.md``).
+Fan-out
+-------
+Every fan-out runs on one :class:`~concurrent.futures.
+ProcessPoolExecutor`, and each worker pickles its result back through
+the pool.  Worker processes isolate the tasks: a worker killed by the
+OOM killer costs a retry, not the run (:func:`fan_out`).
+``docs/PERFORMANCE.md`` has the measurements behind keeping this one
+executor.
 
 Determinism contract
 --------------------
 Results are **bit-identical for the same seed regardless of the worker
-count and transport**.  The work decomposition is fixed up front
+count**.  The work decomposition is fixed up front
 (``rounds`` split into ``chunk_rounds``-sized blocks; one task per
 stream-glitch run) and each task draws from its own
 :class:`numpy.random.SeedSequence` child stream
@@ -61,16 +52,9 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -89,13 +73,10 @@ from repro.server.simulation import (
 
 __all__ = [
     "resolve_jobs",
-    "resolve_worker_retries",
-    "resolve_transport",
     "fan_out",
     "simulate_rounds_parallel",
     "estimate_p_late_parallel",
     "simulate_stream_glitches_parallel",
-    "simulate_farm_disks_parallel",
     "estimate_p_error_parallel",
     "sweep_p_late_parallel",
     "sweep_p_error_parallel",
@@ -111,28 +92,9 @@ DEFAULT_CHUNK_ROUNDS = 2048
 #: runners without oversubscribing them).
 JOBS_ENV = "REPRO_JOBS"
 
-_TRANSPORTS = ("shm", "pickle", "threads")
-
-#: Environment override for the default result transport.  An explicit
-#: ``transport=`` argument always wins; ``REPRO_PARALLEL_TRANSPORT``
-#: retargets every ``transport=None`` fan-out in the process --
-#: ``threads`` runs chunk workers on a :class:`ThreadPoolExecutor`
-#: instead of a process pool (a real win on free-threaded builds and a
-#: zero-fork fallback), with the same fail-fast and bit-identical
-#: determinism contracts.
-TRANSPORT_ENV = "REPRO_PARALLEL_TRANSPORT"
-
-#: Environment override for how often :func:`fan_out` replaces a broken
-#: worker pool before giving up (``0`` restores strict fail-fast).
-WORKER_RETRIES_ENV = "REPRO_WORKER_RETRIES"
-
 #: Pool replacements tolerated per fan-out: one transient worker death
 #: (OOM kill, node preemption) is absorbed; a second failure surfaces.
-DEFAULT_WORKER_RETRIES = 1
-
-#: Prefix of every shared-memory block this module creates; tests sweep
-#: ``/dev/shm`` for it to prove nothing leaks.
-SHM_PREFIX = "repro_mc"
+WORKER_RETRIES = 1
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -172,46 +134,9 @@ def _chunk_sizes(total: int, chunk: int) -> list[int]:
     return [chunk] * full + ([rem] if rem else [])
 
 
-def resolve_transport(transport: str | None = None) -> str:
-    """Normalise a result-transport choice.
-
-    An explicit ``transport`` argument wins; ``None`` falls back to the
-    ``REPRO_PARALLEL_TRANSPORT`` environment variable and then to the
-    ``"shm"`` default.  Valid values: ``"shm"`` (process pool, results
-    written into shared memory), ``"pickle"`` (process pool, results
-    pickled back), ``"threads"`` (thread pool, results shared by
-    address space).  All three are bit-identical for the same seed.
-    """
-    if transport is None:
-        env = os.environ.get(TRANSPORT_ENV)
-        transport = env.strip() if env is not None and env.strip() else "shm"
-    if transport not in _TRANSPORTS:
-        raise ConfigurationError(
-            f"transport must be one of {_TRANSPORTS}, got {transport!r}")
-    return transport
-
-
 # ----------------------------------------------------------------------
 # Fail-fast fan-out (with bounded recovery from worker death)
 # ----------------------------------------------------------------------
-
-def resolve_worker_retries() -> int:
-    """Pool replacements tolerated per fan-out: ``REPRO_WORKER_RETRIES``
-    (an integer >= 0) or :data:`DEFAULT_WORKER_RETRIES`."""
-    raw = os.environ.get(WORKER_RETRIES_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_WORKER_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{WORKER_RETRIES_ENV} must be an integer >= 0, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(
-            f"{WORKER_RETRIES_ENV} must be >= 0, got {raw!r}")
-    return value
-
 
 def _timed_call(payload):
     """Pool entry point wrapping every worker: returns ``(pid, seconds,
@@ -237,19 +162,15 @@ def _record_task(index: int, pid: int, seconds: float) -> None:
                     seconds=seconds)
 
 
-def _pool_pass(worker, tasks, pending, results, done, jobs: int,
-               executor_cls=ProcessPoolExecutor) -> None:
+def _pool_pass(worker, tasks, pending, results, done, jobs: int) -> None:
     """One pool's attempt at the ``pending`` task indices.
 
     Fills ``results``/``done`` in place as futures land, so a pool that
     breaks mid-pass leaves completed work recorded and only the
-    unfinished indices are retried.  ``executor_cls`` selects the pool
-    flavour: the ``threads`` transport substitutes a
-    :class:`ThreadPoolExecutor` (which cannot raise
-    :class:`BrokenProcessPool`, so its pass is always final).
+    unfinished indices are retried.
     """
     workers = min(jobs, len(pending))
-    with executor_cls(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         indexed = {pool.submit(_timed_call, (worker, tasks[i])): i
                    for i in pending}
         for future in as_completed(indexed):
@@ -270,8 +191,7 @@ def _pool_pass(worker, tasks, pending, results, done, jobs: int,
             _record_task(index, pid, seconds)
 
 
-def fan_out(worker, tasks, jobs: int,
-            transport: str | None = None) -> list:
+def fan_out(worker, tasks, jobs: int) -> list:
     """Run ``worker`` over ``tasks``, in-process or on a pool.
 
     Results come back in task order either way, so callers can
@@ -281,23 +201,15 @@ def fan_out(worker, tasks, jobs: int,
     surfaces (library :class:`ReproError` subclasses -- validation
     errors raised inside a worker -- propagate unchanged).
 
-    ``transport`` picks the pool flavour (``None`` defers to
-    :func:`resolve_transport`, i.e. ``REPRO_PARALLEL_TRANSPORT``):
-    ``"shm"``/``"pickle"`` fan out over worker processes, ``"threads"``
-    over a thread pool in this process -- no fork, no pickling, same
-    fail-fast semantics and, because every task carries its own
-    ``SeedSequence`` substream, bit-identical results.
-
     Worker *death* (SIGKILL by the OOM killer, node preemption -- the
     pool raises :class:`BrokenProcessPool`) is transient, not a bug in
     the task: the broken pool is replaced and only the unfinished tasks
-    are resubmitted, up to :func:`resolve_worker_retries` times.  Every
+    are resubmitted, up to :data:`WORKER_RETRIES` times.  Every
     task carries its own ``SeedSequence`` substream, so a rerun draws
     exactly the random numbers the killed attempt would have -- results
     stay bit-identical to an undisturbed run (asserted against
     ``jobs=1`` in the test suite).  After the retry budget a
-    :class:`ParallelExecutionError` surfaces.  (Threads cannot die this
-    way; their single pass is always final.)
+    :class:`ParallelExecutionError` surfaces.
     """
     tasks = list(tasks)
     registry = get_registry()
@@ -314,125 +226,23 @@ def fan_out(worker, tasks, jobs: int,
             results.append(worker(task))
             _record_task(index, pid, time.perf_counter() - start)
         return results
-    executor_cls = (ThreadPoolExecutor
-                    if resolve_transport(transport) == "threads"
-                    else ProcessPoolExecutor)
-    retries = resolve_worker_retries()
     results: list = [None] * len(tasks)
     done = [False] * len(tasks)
     failures = 0
     while True:
         pending = [i for i, finished in enumerate(done) if not finished]
         try:
-            _pool_pass(worker, tasks, pending, results, done, jobs,
-                       executor_cls)
+            _pool_pass(worker, tasks, pending, results, done, jobs)
             return results
         except BrokenProcessPool as exc:
             failures += 1
             registry.counter("parallel_pool_failures_total").inc()
-            if failures > retries:
+            if failures > WORKER_RETRIES:
                 remaining = sum(1 for finished in done if not finished)
                 raise ParallelExecutionError(
                     f"worker pool broke {failures} time(s) with "
                     f"{remaining} of {len(tasks)} task(s) unfinished; "
-                    f"retry budget exhausted "
-                    f"({WORKER_RETRIES_ENV}={retries})") from exc
-
-
-# ----------------------------------------------------------------------
-# Shared-memory plumbing
-# ----------------------------------------------------------------------
-
-def _create_block(nbytes: int) -> shared_memory.SharedMemory:
-    """Create a named block; the name carries :data:`SHM_PREFIX` so leak
-    checks can find strays."""
-    name = f"{SHM_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
-    size = max(1, int(nbytes))
-    registry = get_registry()
-    registry.counter("parallel_shm_blocks_total").inc()
-    registry.counter("parallel_shm_bytes_total").inc(size)
-    return shared_memory.SharedMemory(name=name, create=True, size=size)
-
-
-def _attach_block(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without adopting ownership.
-
-    Python < 3.13 registers *attaching* processes with the resource
-    tracker too; with several workers attaching the same block the
-    set-based tracker cache then underflows on unregister (KeyError
-    noise) or, worse, tears blocks down while the creating parent still
-    needs them.  ``track=False`` opts out where available; otherwise the
-    registration call is suppressed for the duration of the attach (the
-    parent owns every block and unregisters via ``unlink``).  Workers
-    are single-threaded, so the brief patch cannot race.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def _close_quietly(shm: shared_memory.SharedMemory) -> None:
-    """Close a block, tolerating live exported views on error paths
-    (the mapping dies with the process; the owner still unlinks)."""
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - only on exception paths
-        pass
-
-
-def _destroy_block(shm: shared_memory.SharedMemory) -> None:
-    """Close and unlink; tolerates double-unlink on error paths."""
-    _close_quietly(shm)
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
-@dataclass(frozen=True)
-class _BatchLayout:
-    """Names and shape of the shared output arrays of one round fan-out.
-
-    The four blocks hold the :class:`RoundBatch` fields for the *whole*
-    run; worker ``i`` writes rows ``[offset_i, offset_i + block_i)``.
-    Sized up front from the fixed chunk decomposition, so no worker ever
-    resizes or reallocates.
-    """
-
-    rounds: int
-    n: int
-    service: str
-    seeks: str
-    first: str
-    glitches: str
-
-    def views(self, blocks) -> tuple[np.ndarray, ...]:
-        """Array views over attached blocks (same order as fields)."""
-        service = np.ndarray((self.rounds,), dtype=np.float64,
-                             buffer=blocks[0].buf)
-        seeks = np.ndarray((self.rounds,), dtype=np.float64,
-                           buffer=blocks[1].buf)
-        first = np.ndarray((self.rounds,), dtype=np.float64,
-                           buffer=blocks[2].buf)
-        glitches = np.ndarray((self.rounds, self.n), dtype=np.bool_,
-                              buffer=blocks[3].buf)
-        return service, seeks, first, glitches
-
-
-def _create_batch_blocks(rounds: int, n: int):
-    """Allocate the four output blocks; returns (layout, blocks)."""
-    blocks = (_create_block(rounds * 8), _create_block(rounds * 8),
-              _create_block(rounds * 8), _create_block(rounds * n))
-    layout = _BatchLayout(rounds=rounds, n=n, service=blocks[0].name,
-                          seeks=blocks[1].name, first=blocks[2].name,
-                          glitches=blocks[3].name)
-    return layout, blocks
+                    f"retry budget of {WORKER_RETRIES} exhausted") from exc
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +250,7 @@ def _create_batch_blocks(rounds: int, n: int):
 # ----------------------------------------------------------------------
 
 def _run_round_chunk(task) -> RoundBatch:
-    """Pickle-transport worker: simulate one block, return the batch."""
+    """Round worker: simulate one block, return the batch."""
     (spec, size_dist, n, t, rounds, seed_seq, initial_arm, placement,
      recal_prob, recal_duration) = task
     rng = np.random.default_rng(seed_seq)
@@ -450,57 +260,13 @@ def _run_round_chunk(task) -> RoundBatch:
                            recal_duration=recal_duration)
 
 
-def _run_round_chunk_shm(task) -> int:
-    """Shared-memory worker: simulate one block, write it in place.
-
-    Returns only the chunk offset -- the arrays never cross the process
-    boundary.
-    """
-    (layout, offset, spec, size_dist, n, t, rounds, seed_seq,
-     initial_arm, placement, recal_prob, recal_duration) = task
-    rng = np.random.default_rng(seed_seq)
-    batch = simulate_rounds(spec, size_dist, n, t, rounds, rng,
-                            initial_arm=initial_arm, placement=placement,
-                            recal_prob=recal_prob,
-                            recal_duration=recal_duration)
-    blocks = tuple(_attach_block(name) for name in
-                   (layout.service, layout.seeks, layout.first,
-                    layout.glitches))
-    try:
-        arrays = layout.views(blocks)
-        stop = offset + rounds
-        arrays[0][offset:stop] = batch.service_times
-        arrays[1][offset:stop] = batch.seek_times
-        arrays[2][offset:stop] = batch.first_seek_times
-        arrays[3][offset:stop] = batch.glitches
-        del arrays  # views must die before close
-    finally:
-        for shm in blocks:
-            _close_quietly(shm)
-    return offset
-
-
 def _run_glitch_run(task) -> np.ndarray:
-    """Pickle-transport worker: one stream lifetime of ``m`` rounds;
-    returns per-stream glitch counts, shape ``(n,)``."""
+    """Glitch worker: one stream lifetime of ``m`` rounds; returns
+    per-stream glitch counts, shape ``(n,)``."""
     spec, size_dist, n, t, m, seed_seq = task
     rng = np.random.default_rng(seed_seq)
     batch = simulate_rounds(spec, size_dist, n, t, m, rng)
     return np.sum(batch.glitches, axis=0)
-
-
-def _run_glitch_run_shm(task) -> int:
-    """Shared-memory worker: write one run's glitch-count row in place."""
-    block_name, runs, run_idx, spec, size_dist, n, t, m, seed_seq = task
-    row = _run_glitch_run((spec, size_dist, n, t, m, seed_seq))
-    shm = _attach_block(block_name)
-    try:
-        counts = np.ndarray((runs, n), dtype=np.int64, buffer=shm.buf)
-        counts[run_idx] = row
-        del counts  # view must die before close
-    finally:
-        _close_quietly(shm)
-    return run_idx
 
 
 def _run_sweep_late_chunk(task) -> tuple[int, int]:
@@ -528,52 +294,22 @@ def simulate_rounds_parallel(spec: DiskSpec, size_dist: Distribution,
                              chunk_rounds: int = DEFAULT_CHUNK_ROUNDS,
                              initial_arm: int = 0, placement=None,
                              recal_prob: float = 0.0,
-                             recal_duration: float = 0.0,
-                             transport: str | None = None) -> RoundBatch:
+                             recal_duration: float = 0.0) -> RoundBatch:
     """Chunk-parallel :func:`repro.server.simulation.simulate_rounds`.
 
     ``rounds`` is split into ``chunk_rounds`` blocks; block ``i`` draws
     from ``SeedSequence(seed).spawn(...)[i]`` and starts its sweep at
-    ``initial_arm``.  Bit-identical output for any ``jobs`` value and
-    every ``transport`` (``"shm"`` writes results into pre-sized
-    shared-memory blocks and returns scalars; ``"pickle"`` ships each
-    chunk's :class:`RoundBatch` back through the pool; ``"threads"``
-    runs the chunks on a thread pool in this process; ``None`` defers
-    to ``REPRO_PARALLEL_TRANSPORT``).
+    ``initial_arm``.  Bit-identical output for any ``jobs`` value.
     """
     jobs = resolve_jobs(jobs)
-    transport = resolve_transport(transport)
     sizes = _chunk_sizes(rounds, chunk_rounds)
     if not sizes:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds!r}")
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    if transport in ("pickle", "threads") or jobs == 1 or len(sizes) <= 1:
-        tasks = [(spec, size_dist, n, t, block, child, initial_arm,
-                  placement, recal_prob, recal_duration)
-                 for block, child in zip(sizes, children)]
-        return _concat_batches(
-            fan_out(_run_round_chunk, tasks, jobs, transport=transport))
-
-    layout, blocks = _create_batch_blocks(rounds, n)
-    try:
-        offsets = [0]
-        for block in sizes[:-1]:
-            offsets.append(offsets[-1] + block)
-        tasks = [(layout, offset, spec, size_dist, n, t, block, child,
-                  initial_arm, placement, recal_prob, recal_duration)
-                 for offset, block, child in zip(offsets, sizes, children)]
-        fan_out(_run_round_chunk_shm, tasks, jobs, transport="shm")
-        service, seeks, first, glitches = layout.views(blocks)
-        batch = RoundBatch(service_times=service.copy(),
-                           glitches=glitches.copy(),
-                           seek_times=seeks.copy(),
-                           first_seek_times=first.copy())
-        del service, seeks, first, glitches
-        return batch
-    finally:
-        for shm in blocks:
-            _destroy_block(shm)
+    tasks = [(spec, size_dist, n, t, block, child, initial_arm,
+              placement, recal_prob, recal_duration)
+             for block, child in zip(sizes, children)]
+    return _concat_batches(fan_out(_run_round_chunk, tasks, jobs))
 
 
 def _concat_batches(batches: list[RoundBatch]) -> RoundBatch:
@@ -589,14 +325,12 @@ def _concat_batches(batches: list[RoundBatch]) -> RoundBatch:
 def estimate_p_late_parallel(spec: DiskSpec, size_dist: Distribution,
                              n: int, t: float, rounds: int = 20_000,
                              seed: int = 0, jobs: int | None = None,
-                             chunk_rounds: int = DEFAULT_CHUNK_ROUNDS,
-                             transport: str | None = None
+                             chunk_rounds: int = DEFAULT_CHUNK_ROUNDS
                              ) -> PLateEstimate:
     """Monte-Carlo ``p_late`` estimate over the chunk-parallel path."""
     batch = simulate_rounds_parallel(spec, size_dist, n, t, rounds,
                                      seed=seed, jobs=jobs,
-                                     chunk_rounds=chunk_rounds,
-                                     transport=transport)
+                                     chunk_rounds=chunk_rounds)
     late = int(np.sum(batch.service_times > t))
     low, high = wilson_interval(late, rounds)
     return PLateEstimate(n=n, t=t, rounds=rounds, late_rounds=late,
@@ -607,70 +341,35 @@ def simulate_stream_glitches_parallel(spec: DiskSpec,
                                       size_dist: Distribution, n: int,
                                       t: float, m: int, runs: int,
                                       seed: int = 0,
-                                      jobs: int | None = None,
-                                      transport: str | None = None
+                                      jobs: int | None = None
                                       ) -> np.ndarray:
     """Parallel per-stream glitch counts, shape ``(runs, n)``.
 
     Uses the same per-run ``SeedSequence.spawn`` scheme as the serial
     :func:`repro.server.simulation.simulate_stream_glitches`, so the
     result is bit-identical to the serial function *and* invariant to
-    ``jobs`` and ``transport``.
+    ``jobs``.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
     jobs = resolve_jobs(jobs)
-    transport = resolve_transport(transport)
     children = np.random.SeedSequence(seed).spawn(runs)
-
-    if transport in ("pickle", "threads") or jobs == 1 or runs <= 1:
-        tasks = [(spec, size_dist, n, t, m, child) for child in children]
-        rows = fan_out(_run_glitch_run, tasks, jobs, transport=transport)
-        return np.stack(rows).astype(np.int64)
-
-    block = _create_block(runs * n * 8)
-    try:
-        tasks = [(block.name, runs, run_idx, spec, size_dist, n, t, m,
-                  child) for run_idx, child in enumerate(children)]
-        fan_out(_run_glitch_run_shm, tasks, jobs, transport="shm")
-        counts = np.ndarray((runs, n), dtype=np.int64, buffer=block.buf)
-        result = counts.copy()
-        del counts
-        return result
-    finally:
-        _destroy_block(block)
-
-
-def simulate_farm_disks_parallel(tasks, jobs: int | None = None,
-                                 transport: str | None = None) -> list:
-    """Fan one :func:`repro.server.simulation.simulate_farm_rounds`
-    task per disk out over the worker pool.
-
-    Each task already carries its own ``SeedSequence`` child, so the
-    result is bit-identical to the serial loop for every worker count
-    and every transport.  The per-phase tuples are tiny, so ``"shm"``
-    degrades to plain pickling (no shared-memory staging to amortise);
-    ``"threads"`` keeps the fan-out in this process.
-    """
-    from repro.server.simulation import _simulate_disk_phases
-    return fan_out(_simulate_disk_phases, list(tasks), resolve_jobs(jobs),
-                   transport=transport)
+    tasks = [(spec, size_dist, n, t, m, child) for child in children]
+    rows = fan_out(_run_glitch_run, tasks, jobs)
+    return np.stack(rows).astype(np.int64)
 
 
 def estimate_p_error_parallel(spec: DiskSpec, size_dist: Distribution,
                               n: int, t: float, m: int, g: int,
                               runs: int = 100, seed: int = 0,
-                              jobs: int | None = None,
-                              transport: str | None = None
-                              ) -> PErrorEstimate:
+                              jobs: int | None = None) -> PErrorEstimate:
     """Monte-Carlo ``p_error`` estimate over the run-parallel path."""
     if not (0 <= g <= m):
         raise ConfigurationError(f"g must be in [0, m], got {g!r}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ConfigurationError(f"round length must be positive, got {t!r}")
     counts = simulate_stream_glitches_parallel(spec, size_dist, n, t, m,
-                                               runs, seed=seed, jobs=jobs,
-                                               transport=transport)
+                                               runs, seed=seed, jobs=jobs)
     streams = counts.size
     bad = int(np.sum(counts >= g))
     low, high = wilson_interval(bad, streams)

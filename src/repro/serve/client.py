@@ -118,9 +118,9 @@ class ServeClient:
                  backoff_max: float = 2.0,
                  sleep=time.sleep, tracer=None,
                  connection_factory=None) -> None:
-        if not url.startswith(("http://", "https://")):
+        if not url.startswith("http://"):
             raise ConfigurationError(
-                f"daemon url must start with http(s)://, got {url!r}")
+                f"daemon url must start with http://, got {url!r}")
         if retries < 1:
             raise ConfigurationError(
                 f"retries must be >= 1, got {retries!r}")
@@ -142,13 +142,11 @@ class ServeClient:
         split = urllib.parse.urlsplit(self.url)
         self._path_prefix = split.path.rstrip("/")
         if connection_factory is None:
-            conn_cls = (http.client.HTTPSConnection
-                        if split.scheme == "https"
-                        else http.client.HTTPConnection)
             host, port = split.hostname, split.port
 
             def connection_factory():
-                return conn_cls(host, port, timeout=self.timeout)
+                return http.client.HTTPConnection(host, port,
+                                                  timeout=self.timeout)
 
         self._factory = connection_factory
         #: Per-thread persistent connection slot.

@@ -11,6 +11,8 @@
   :mod:`repro.sim` kernel.
 - :mod:`repro.server.simulation` -- the vectorised Monte-Carlo path used
   for the large validation sweeps (Figure 1, Table 2).
+- :mod:`repro.server.scenario` -- the farm-level kernel engine: fault
+  schedules, shedding and trick-mode windows compiled to batched sweeps.
 - :mod:`repro.server.faults` -- runtime fault injection, RAID-1 mirror
   failover and degraded-mode load shedding (see ``docs/ROBUSTNESS.md``).
 """
@@ -41,10 +43,8 @@ from repro.server.simulation import (
     estimate_p_late,
     simulate_stream_glitches,
     estimate_p_error,
-    simulate_failover_rounds,
     PLateEstimate,
     PErrorEstimate,
-    FailoverEstimate,
 )
 
 __all__ = [
@@ -73,8 +73,6 @@ __all__ = [
     "estimate_p_late",
     "simulate_stream_glitches",
     "estimate_p_error",
-    "simulate_failover_rounds",
     "PLateEstimate",
     "PErrorEstimate",
-    "FailoverEstimate",
 ]

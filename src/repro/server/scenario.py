@@ -1,11 +1,10 @@
 """Scenario compiler: arbitrary fault/trick/heterogeneous runs on the
 vectorised kernel path.
 
-:func:`repro.server.simulation.simulate_farm_rounds` proved that a farm
-run whose per-disk populations are piecewise-constant can be priced by
-the vectorised sweep kernel instead of the event calendar (~170x, bench
-A22) -- but it only knew the single fail/recover failover shape.  This
-module generalises that idea into a two-stage pipeline:
+A farm run whose per-disk populations are piecewise-constant can be
+priced by the vectorised sweep kernel instead of the event calendar
+(benches A22 and A24 time the two against each other).  This module is
+the repo's one farm-level kernel engine, a two-stage pipeline:
 
 1. :func:`compile_scenario` turns a :class:`~repro.server.faults.
    FaultSchedule` (fail/recover/slow-disk/recalibration-storm events), a
@@ -18,10 +17,10 @@ module generalises that idea into a two-stage pipeline:
    scale, and storm parameters.
 2. :func:`simulate_scenario` prices each (disk, entry) batch with
    :func:`~repro.server.simulation.simulate_rounds`, one
-   ``SeedSequence([seed, 0xFA9A])`` child per disk exactly like
-   ``simulate_farm_rounds``, so results are **bit-identical for every
-   ``jobs`` count and transport** -- and bit-identical to
-   ``simulate_farm_rounds`` itself on the plain failover shape.
+   ``SeedSequence([seed, 0xFA9A])`` child per disk, so results are
+   **bit-identical for every ``jobs`` count**.  The ``per_disk``
+   tuples of the plain failover shape (and of its drop-mode rejoin
+   ramps) are pinned as literals in ``tests/server/test_sweep_kernel.py``.
 
 Time-to-round snapping
 ----------------------
@@ -38,15 +37,18 @@ starts.  Events wholly past the run horizon are recorded in
 
 Fidelity notes (vs the event engine)
 ------------------------------------
-Storm stalls are drawn from each disk's sequential substream rather
-than the injector's counter-based RNG, and the arm position does not
-carry across phase-entry boundaries -- the same order of approximation
-``simulate_farm_rounds`` already accepts.  The two engines are
-cross-validated statistically (Wilson intervals) in
-``tests/server/test_scenario_compiler.py``.  Overlapping storms on one
-disk have no kernel representation (two independent Bernoulli stalls
-do not fold into one), so the compiler refuses them -- use the event
-engine for those.
+Where the event engine walks every request through the calendar, the
+kernel batches each (disk, entry) into one :func:`simulate_rounds`
+call: it gives up the event path's per-stream bookkeeping and its exact
+arm carry-over (the arm position does not carry across phase-entry
+boundaries), and storm stalls are drawn from each disk's sequential
+substream rather than the injector's counter-based RNG.  The two
+engines are cross-validated statistically (Wilson intervals) in
+``tests/server/test_scenario_compiler.py`` and
+``tests/server/test_sweep_kernel.py``.  Overlapping storms on one disk
+have no kernel representation (two independent Bernoulli stalls do not
+fold into one), so the compiler refuses them -- use the event engine
+for those.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.stats import wilson_interval
 from repro.core.farm import mirror_of
 from repro.core.trickmode import scan_mode_requests
 from repro.disk.presets import (
@@ -68,16 +71,14 @@ from repro.disk.presets import (
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
 from repro.server.faults import FaultSchedule, SheddingPolicy
-from repro.server.simulation import (
-    FarmRoundsEstimate,
-    _group_phase_results,
-    _simulate_disk_phases,
-)
+from repro.server.simulation import simulate_rounds
 
 __all__ = [
     "TrickSegment",
     "PhaseEntry",
     "CompiledScenario",
+    "FarmPhaseStats",
+    "FarmRoundsEstimate",
     "compile_scenario",
     "simulate_scenario",
     "analytic_phase_bounds",
@@ -194,6 +195,92 @@ class CompiledScenario:
         return lines
 
 
+@dataclass(frozen=True)
+class FarmPhaseStats:
+    """Aggregate statistics of one phase of a farm-level simulation.
+
+    ``disk_rounds`` counts the active (disk, round) pairs of the phase
+    (a failed disk contributes none); ``requests`` the fragments
+    simulated across them.
+    """
+
+    name: str
+    rounds: int
+    disk_rounds: int
+    late_disk_rounds: int
+    requests: int
+    glitches: int
+
+    @property
+    def p_late(self) -> float:
+        """Fraction of active (disk, round) pairs that overran."""
+        if self.disk_rounds == 0:
+            return 0.0
+        return self.late_disk_rounds / self.disk_rounds
+
+    @property
+    def glitch_rate(self) -> float:
+        """Fraction of simulated requests that missed the deadline."""
+        if self.requests == 0:
+            return 0.0
+        return self.glitches / self.requests
+
+    def p_late_ci(self) -> tuple[float, float]:
+        """Wilson 95 % interval on :attr:`p_late`."""
+        if self.disk_rounds == 0:
+            return (0.0, 1.0)
+        return wilson_interval(self.late_disk_rounds, self.disk_rounds)
+
+    def glitch_ci(self) -> tuple[float, float]:
+        """Wilson 95 % interval on :attr:`glitch_rate`."""
+        if self.requests == 0:
+            return (0.0, 1.0)
+        return wilson_interval(self.glitches, self.requests)
+
+
+@dataclass(frozen=True)
+class FarmRoundsEstimate:
+    """Farm-level vectorised Monte-Carlo estimate.
+
+    ``per_disk[d][p]`` is the raw ``(rounds, late, requests, glitches)``
+    tuple of disk ``d`` in phase ``p`` (phases ordered as
+    :attr:`phases`); the phase records aggregate over disks.
+    """
+
+    disks: int
+    n_per_disk: int
+    t: float
+    fail_disk: int | None
+    shedding: bool
+    phases: tuple[FarmPhaseStats, ...]
+    per_disk: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+    def phase(self, name: str) -> FarmPhaseStats:
+        """The phase record named ``name`` (raises on unknown names)."""
+        for record in self.phases:
+            if record.name == name:
+                return record
+        raise ConfigurationError(
+            f"no phase {name!r}; have "
+            f"{[p.name for p in self.phases]!r}")
+
+    def survivor_degraded(self) -> FarmPhaseStats:
+        """Degraded-phase statistics of the surviving mirror alone
+        (the disk that absorbs the doubled batch)."""
+        if self.fail_disk is None:
+            raise ConfigurationError("run simulated no failure")
+        partner = mirror_of(self.fail_disk, self.disks)
+        if partner is None:
+            raise ConfigurationError(
+                f"disk {self.fail_disk} has no mirror on a farm of "
+                f"{self.disks}")
+        index = [p.name for p in self.phases].index("degraded")
+        rounds, late, requests, glitches = self.per_disk[partner][index]
+        return FarmPhaseStats(name="survivor_degraded", rounds=rounds,
+                              disk_rounds=rounds, late_disk_rounds=late,
+                              requests=requests, glitches=glitches)
+
+
 def _round_of(tau: float, t: float) -> int:
     """First round index whose dispatch time ``r * t`` is >= ``tau``."""
     return max(0, math.ceil(tau / t - _BOUNDARY_EPS))
@@ -234,10 +321,11 @@ def compile_scenario(specs, size_dist: Distribution, *,
     the full doubled batch).  After the *last* failed disk recovers,
     ``pause``-mode policies (and ``instant_rejoin=True``) restore the
     full population at the recovery boundary -- every paused stream
-    resumes -- while ``drop`` mode holds the shed level, optionally
-    ramping back over ``rejoin_rounds`` rounds (the
-    :func:`~repro.server.simulation.simulate_farm_rounds` rejoin
-    semantics, levels bit-matched to its ``_rejoin_plan``).
+    resumes -- while ``drop`` mode holds the shed level (shed streams
+    never return, as in the event engine's drop mode), optionally
+    ramping back over ``rejoin_rounds`` rounds: ramp round ``s`` serves
+    ``kept + ceil((s + 1) / rejoin_rounds * (n_per_disk - kept))``
+    streams per disk, an arrival process refilling the freed capacity.
 
     Per-round population state walks the schedule in event order; a
     failure during a rejoin ramp re-sheds and cancels the ramp.  The
@@ -306,7 +394,10 @@ def compile_scenario(specs, size_dist: Distribution, *,
     ever_recovered = False
     fail_disk_first: int | None = None
     ramp: tuple[int, int] | None = None  # (recovery round, kept level)
-    plan: list[PhaseEntry] = []
+    # One [state, rounds] pair per maximal run of identical rounds; the
+    # state tuple holds PhaseEntry's fields in declaration order, minus
+    # ``rounds``.
+    runs: list[list] = []
 
     for r in range(rounds):
         for event in events_by_round.get(r, ()):
@@ -397,44 +488,95 @@ def compile_scenario(specs, size_dist: Distribution, *,
             suffix += "+trick"
         name = base + suffix
 
-        entry = PhaseEntry(
-            name=name, batches=tuple(batches), rounds=1,
-            scales=tuple(scale.get(d, 1.0) for d in range(disks)),
-            recal_probs=tuple(probs), recal_stalls=tuple(stalls))
-        last = plan[-1] if plan else None
-        if (last is not None and last.name == entry.name
-                and last.batches == entry.batches
-                and last.scales == entry.scales
-                and last.recal_probs == entry.recal_probs
-                and last.recal_stalls == entry.recal_stalls):
-            plan[-1] = PhaseEntry(
-                name=last.name, batches=last.batches,
-                rounds=last.rounds + 1, scales=last.scales,
-                recal_probs=last.recal_probs,
-                recal_stalls=last.recal_stalls)
+        state = (name, tuple(batches),
+                 tuple(scale.get(d, 1.0) for d in range(disks)),
+                 tuple(probs), tuple(stalls))
+        if runs and runs[-1][0] == state:
+            runs[-1][1] += 1
         else:
-            plan.append(entry)
+            runs.append([state, 1])
 
+    plan = tuple(
+        PhaseEntry(name=name, batches=batches, rounds=count, scales=scales,
+                   recal_probs=recal_probs, recal_stalls=recal_stalls)
+        for (name, batches, scales, recal_probs, recal_stalls), count
+        in runs)
     return CompiledScenario(
         specs=specs, size_dist=size_dist, n_per_disk=n_per_disk, t=t,
-        rounds=rounds, plan=tuple(plan),
+        rounds=rounds, plan=plan,
         shedding=policy is not None, fail_disk=fail_disk_first,
         dropped_events=tuple(dropped))
 
 
+def _simulate_disk_phases(task):
+    """Worker: one disk's rounds through every plan entry (module-level
+    so it pickles into pool workers).
+
+    ``task`` is ``(spec, size_dist, t, phases, seed_sequence)`` with
+    ``phases`` a tuple of ``(name, batch, rounds, service_scale,
+    recal_prob, recal_stall)`` entries.  The disk's RNG is carried
+    across entries, and an entry with an empty batch draws nothing, so
+    results are bit-identical regardless of how disks are spread over
+    workers.
+    """
+    spec, size_dist, t, phases, child = task
+    rng = np.random.default_rng(child)
+    results = []
+    for _name, batch, rounds, scale, recal_prob, recal_stall in phases:
+        if batch < 1 or rounds < 1:
+            results.append((0, 0, 0, 0))
+            continue
+        batch_result = simulate_rounds(spec, size_dist, batch, t, rounds,
+                                       rng, recal_prob=recal_prob,
+                                       recal_duration=recal_stall,
+                                       service_scale=scale)
+        late = int(np.sum(batch_result.service_times > t))
+        glitches = int(np.sum(batch_result.glitches))
+        results.append((rounds, late, rounds * batch, glitches))
+    return tuple(results)
+
+
+def _column_sums(rows) -> tuple[int, ...]:
+    """Element-wise sum of equal-length count tuples."""
+    return tuple(map(sum, zip(*rows)))
+
+
+def _group_phase_results(plan, per_disk, disks):
+    """Aggregate per-(disk, plan-entry) raw tuples into named phases.
+
+    Consecutive plan entries sharing a name are merged (a rejoin ramp
+    or a change of slow-disk factor splits one logical phase into
+    several entries),
+    yielding the ``(phases, per_disk)`` pair of
+    :class:`FarmRoundsEstimate`.
+    """
+    groups: list[tuple[str, list[int], int]] = []
+    for index, entry in enumerate(plan):
+        if groups and groups[-1][0] == entry.name:
+            name, indices, rounds = groups[-1]
+            groups[-1] = (name, indices + [index], rounds + entry.rounds)
+        else:
+            groups.append((entry.name, [index], entry.rounds))
+
+    grouped_per_disk = tuple(
+        tuple(_column_sums(per_disk[disk][index] for index in indices)
+              for _name, indices, _rounds in groups)
+        for disk in range(disks))
+    phases = tuple(
+        FarmPhaseStats(name, group_rounds,
+                       *_column_sums(row[group] for row in grouped_per_disk))
+        for group, (name, _indices, group_rounds) in enumerate(groups))
+    return phases, grouped_per_disk
+
+
 def simulate_scenario(compiled: CompiledScenario, *, seed: int = 0,
-                      jobs: int | None = None,
-                      transport: str | None = None) -> FarmRoundsEstimate:
+                      jobs: int | None = None) -> FarmRoundsEstimate:
     """Price a compiled scenario on the vectorised sweep kernel.
 
-    Disk ``d`` draws every phase from ``SeedSequence([seed,
-    0xFA9A]).spawn(disks)[d]`` -- the exact substream layout of
-    :func:`~repro.server.simulation.simulate_farm_rounds`, so the plain
-    failover shape reproduces its results bit-for-bit, and any scenario
-    is bit-identical across ``jobs`` counts and transports.  ``jobs``
-    fans disks out over :func:`repro.parallel.simulate_farm_disks_
-    parallel` (``None`` runs serially in-process); ``transport``
-    selects the pool flavour (``threads``/``pickle``/``shm``).
+    Disk ``d`` draws every plan entry from ``SeedSequence([seed,
+    0xFA9A]).spawn(disks)[d]``, so any scenario is bit-identical across
+    ``jobs`` counts.  ``jobs`` fans the disks out over
+    :func:`repro.parallel.fan_out` (``None`` runs serially in-process).
     """
     disks = compiled.disks
     root = np.random.SeedSequence([seed, 0xFA9A])
@@ -446,16 +588,16 @@ def simulate_scenario(compiled: CompiledScenario, *, seed: int = 0,
             for entry in compiled.plan)
         tasks.append((compiled.specs[d], compiled.size_dist, compiled.t,
                       phases, child))
-    if jobs is not None or transport is not None:
-        from repro.parallel import simulate_farm_disks_parallel
-        per_disk = simulate_farm_disks_parallel(tasks, jobs,
-                                                transport=transport)
+    if jobs is not None:
+        # Looked up on the module at call time, so a wrapper installed
+        # on ``repro.parallel.fan_out`` sees this fan-out too.
+        from repro import parallel
+        per_disk = parallel.fan_out(_simulate_disk_phases, tasks,
+                                    parallel.resolve_jobs(jobs))
     else:
         per_disk = [_simulate_disk_phases(task) for task in tasks]
-    plan_rows = [(entry.name, entry.batches, entry.rounds)
-                 for entry in compiled.plan]
-    phases, grouped_per_disk = _group_phase_results(plan_rows, per_disk,
-                                                    disks)
+    phases, grouped_per_disk = _group_phase_results(compiled.plan,
+                                                    per_disk, disks)
     return FarmRoundsEstimate(
         disks=disks, n_per_disk=compiled.n_per_disk, t=compiled.t,
         fail_disk=compiled.fail_disk, shedding=compiled.shedding,

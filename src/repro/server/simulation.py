@@ -49,13 +49,8 @@ __all__ = [
     "estimate_p_late",
     "simulate_stream_glitches",
     "estimate_p_error",
-    "simulate_failover_rounds",
-    "simulate_farm_rounds",
     "PLateEstimate",
     "PErrorEstimate",
-    "FailoverEstimate",
-    "FarmPhaseStats",
-    "FarmRoundsEstimate",
 ]
 
 #: Rounds per vectorised chunk; bounds peak memory at roughly
@@ -322,379 +317,6 @@ def simulate_stream_glitches(spec: DiskSpec, size_dist: Distribution,
         batch = simulate_rounds(spec, size_dist, n, t, m, rng)
         counts[run] = np.sum(batch.glitches, axis=0)
     return counts
-
-
-@dataclass(frozen=True)
-class FailoverEstimate:
-    """Vectorised two-phase estimate of a mirrored-pair failover.
-
-    The survivor of a RAID-1 pair serves ``n_healthy`` requests per
-    round until the partner fails, then ``n_degraded`` per round (the
-    doubled batch -- or the shed batch, when load shedding caps it).
-    ``p_late_*`` are round-overrun probabilities with Wilson 95 % CIs.
-    """
-
-    n_healthy: int
-    n_degraded: int
-    t: float
-    rounds_healthy: int
-    rounds_degraded: int
-    p_late_healthy: float
-    p_late_degraded: float
-    ci_healthy: tuple[float, float]
-    ci_degraded: tuple[float, float]
-
-
-def simulate_failover_rounds(spec: DiskSpec, size_dist: Distribution,
-                             n_healthy: int, n_degraded: int, t: float,
-                             rounds_healthy: int = 2000,
-                             rounds_degraded: int = 2000,
-                             seed: int = 0) -> FailoverEstimate:
-    """Vectorised cross-check of the event-driven failover path.
-
-    Simulates the *survivor* disk of a mirrored pair through a partner
-    failure: ``rounds_healthy`` rounds at batch ``n_healthy``, then
-    ``rounds_degraded`` rounds at batch ``n_degraded`` (``2 n`` without
-    shedding, ``2 n_shed`` with -- each mirrored fetch adds one request
-    to the survivor's sweep).  The arm position carries over between the
-    phases.  Used by bench A21 to confirm the degraded-phase overrun
-    rate agrees with the analytic ``b_late(n_degraded, t)`` bound
-    independently of the event-driven server.
-    """
-    rng = np.random.default_rng(seed)
-    healthy = simulate_rounds(spec, size_dist, n_healthy, t,
-                              rounds_healthy, rng)
-    degraded = simulate_rounds(spec, size_dist, n_degraded, t,
-                               rounds_degraded, rng)
-    late_h = int(np.sum(healthy.service_times > t))
-    late_d = int(np.sum(degraded.service_times > t))
-    return FailoverEstimate(
-        n_healthy=n_healthy, n_degraded=n_degraded, t=t,
-        rounds_healthy=rounds_healthy, rounds_degraded=rounds_degraded,
-        p_late_healthy=late_h / rounds_healthy,
-        p_late_degraded=late_d / rounds_degraded,
-        ci_healthy=wilson_interval(late_h, rounds_healthy),
-        ci_degraded=wilson_interval(late_d, rounds_degraded),
-    )
-
-
-@dataclass(frozen=True)
-class FarmPhaseStats:
-    """Aggregate statistics of one phase of a farm-level simulation.
-
-    ``disk_rounds`` counts the active (disk, round) pairs of the phase
-    (a failed disk contributes none); ``requests`` the fragments
-    simulated across them.
-    """
-
-    name: str
-    rounds: int
-    disk_rounds: int
-    late_disk_rounds: int
-    requests: int
-    glitches: int
-
-    @property
-    def p_late(self) -> float:
-        """Fraction of active (disk, round) pairs that overran."""
-        if self.disk_rounds == 0:
-            return 0.0
-        return self.late_disk_rounds / self.disk_rounds
-
-    @property
-    def glitch_rate(self) -> float:
-        """Fraction of simulated requests that missed the deadline."""
-        if self.requests == 0:
-            return 0.0
-        return self.glitches / self.requests
-
-    def p_late_ci(self) -> tuple[float, float]:
-        """Wilson 95 % interval on :attr:`p_late`."""
-        if self.disk_rounds == 0:
-            return (0.0, 1.0)
-        return wilson_interval(self.late_disk_rounds, self.disk_rounds)
-
-    def glitch_ci(self) -> tuple[float, float]:
-        """Wilson 95 % interval on :attr:`glitch_rate`."""
-        if self.requests == 0:
-            return (0.0, 1.0)
-        return wilson_interval(self.glitches, self.requests)
-
-
-@dataclass(frozen=True)
-class FarmRoundsEstimate:
-    """Farm-level vectorised Monte-Carlo estimate.
-
-    ``per_disk[d][p]`` is the raw ``(rounds, late, requests, glitches)``
-    tuple of disk ``d`` in phase ``p`` (phases ordered as
-    :attr:`phases`); the phase records aggregate over disks.
-    """
-
-    disks: int
-    n_per_disk: int
-    t: float
-    fail_disk: int | None
-    shedding: bool
-    phases: tuple[FarmPhaseStats, ...]
-    per_disk: tuple[tuple[tuple[int, int, int, int], ...], ...]
-
-    def phase(self, name: str) -> FarmPhaseStats:
-        """The phase record named ``name`` (raises on unknown names)."""
-        for record in self.phases:
-            if record.name == name:
-                return record
-        raise ConfigurationError(
-            f"no phase {name!r}; have "
-            f"{[p.name for p in self.phases]!r}")
-
-    def survivor_degraded(self) -> FarmPhaseStats:
-        """Degraded-phase statistics of the surviving mirror alone
-        (the disk that absorbs the doubled batch)."""
-        if self.fail_disk is None:
-            raise ConfigurationError("run simulated no failure")
-        from repro.core.farm import mirror_of
-        partner = mirror_of(self.fail_disk, self.disks)
-        if partner is None:
-            raise ConfigurationError(
-                f"disk {self.fail_disk} has no mirror on a farm of "
-                f"{self.disks}")
-        index = [p.name for p in self.phases].index("degraded")
-        rounds, late, requests, glitches = self.per_disk[partner][index]
-        return FarmPhaseStats(name="survivor_degraded", rounds=rounds,
-                              disk_rounds=rounds, late_disk_rounds=late,
-                              requests=requests, glitches=glitches)
-
-
-def _simulate_disk_phases(task):
-    """Worker: one disk's rounds through every phase (module-level so it
-    pickles into pool workers).
-
-    ``task`` is ``(spec, size_dist, t, phases, seed_sequence)`` with
-    ``phases`` a tuple of plain ``(name, batch, rounds)`` entries or the
-    scenario compiler's extended ``(name, batch, rounds, service_scale,
-    recal_prob, recal_stall)`` form (plain entries run at full speed
-    with no storm, consuming the RNG identically to earlier releases).
-    The disk's RNG is carried across phases (like
-    :func:`simulate_failover_rounds`), and a phase with an empty batch
-    draws nothing, so results are bit-identical regardless of how disks
-    are spread over workers.
-    """
-    spec, size_dist, t, phases, child = task
-    rng = np.random.default_rng(child)
-    results = []
-    for entry in phases:
-        _name, batch, rounds = entry[:3]
-        scale = entry[3] if len(entry) > 3 else 1.0
-        recal_prob = entry[4] if len(entry) > 4 else 0.0
-        recal_stall = entry[5] if len(entry) > 5 else 0.0
-        if batch < 1 or rounds < 1:
-            results.append((0, 0, 0, 0))
-            continue
-        batch_result = simulate_rounds(spec, size_dist, batch, t, rounds,
-                                       rng, recal_prob=recal_prob,
-                                       recal_duration=recal_stall,
-                                       service_scale=scale)
-        late = int(np.sum(batch_result.service_times > t))
-        glitches = int(np.sum(batch_result.glitches))
-        results.append((rounds, late, rounds * batch, glitches))
-    return tuple(results)
-
-
-def _group_phase_results(phase_plan, per_disk, disks):
-    """Aggregate per-(disk, plan-entry) raw tuples into named phases.
-
-    Consecutive plan entries sharing a name are merged (a rejoin ramp
-    -- or a compiled scenario's constant-state segments -- split one
-    logical phase into several entries), yielding the
-    ``(phases, per_disk)`` pair of :class:`FarmRoundsEstimate`.
-    """
-    groups: list[tuple[str, list[int], int]] = []
-    for index, entry in enumerate(phase_plan):
-        name, _batches, phase_rounds = entry[0], entry[1], entry[2]
-        if groups and groups[-1][0] == name:
-            groups[-1][1].append(index)
-            groups[-1] = (name, groups[-1][1],
-                          groups[-1][2] + phase_rounds)
-        else:
-            groups.append((name, [index], phase_rounds))
-
-    phases = []
-    grouped_per_disk = []
-    for disk in range(disks):
-        row = []
-        for _name, indices, _rounds in groups:
-            totals = [0, 0, 0, 0]
-            for index in indices:
-                for position, value in enumerate(per_disk[disk][index]):
-                    totals[position] += value
-            row.append(tuple(totals))
-        grouped_per_disk.append(tuple(row))
-    for group_index, (name, _indices, group_rounds) in enumerate(groups):
-        disk_rounds = late = requests = glitches = 0
-        for disk in range(disks):
-            d_rounds, d_late, d_requests, d_glitches = \
-                grouped_per_disk[disk][group_index]
-            disk_rounds += d_rounds
-            late += d_late
-            requests += d_requests
-            glitches += d_glitches
-        phases.append(FarmPhaseStats(
-            name=name, rounds=group_rounds, disk_rounds=disk_rounds,
-            late_disk_rounds=late, requests=requests, glitches=glitches))
-    return tuple(phases), tuple(grouped_per_disk)
-
-
-def _rejoin_plan(disks: int, n_per_disk: int, kept: int, span: int,
-                 rejoin_rounds: int) -> list[tuple[str, tuple[int, ...],
-                                                   int]]:
-    """Recovered-phase plan entries for the post-recovery rejoin.
-
-    The recovered phase starts from the *shed* populations -- every
-    disk back in service at the degraded ``kept`` level -- and ramps
-    linearly back to ``n_per_disk`` over ``rejoin_rounds`` rounds
-    (``0`` holds the shed level for the rest of the run: drop-mode
-    semantics, where shed streams never return and no arrival process
-    refills the farm).  Consecutive rounds at the same level are merged
-    into one entry.
-    """
-    if span <= 0:
-        return [("recovered", (kept,) * disks, 0)]
-    if rejoin_rounds <= 0 or kept >= n_per_disk:
-        return [("recovered", (kept,) * disks, span)]
-    entries: list[tuple[str, tuple[int, ...], int]] = []
-    level_rounds: list[int] = []
-    for step in range(min(rejoin_rounds, span)):
-        fraction = (step + 1) / rejoin_rounds
-        level_rounds.append(
-            kept + math.ceil(fraction * (n_per_disk - kept)))
-    remaining = span - len(level_rounds)
-    if remaining > 0:
-        level_rounds.extend([n_per_disk] * remaining)
-    start = 0
-    for index in range(1, len(level_rounds) + 1):
-        if (index == len(level_rounds)
-                or level_rounds[index] != level_rounds[start]):
-            entries.append(("recovered",
-                            (level_rounds[start],) * disks,
-                            index - start))
-            start = index
-    return entries
-
-
-def simulate_farm_rounds(spec: DiskSpec, size_dist: Distribution, *,
-                         disks: int = 2, n_per_disk: int, t: float,
-                         rounds: int, fail_disk: int | None = 0,
-                         fail_round: int | None = None,
-                         recover_round: int | None = None,
-                         shedding: bool = True,
-                         degraded_n_max: int | None = None,
-                         instant_rejoin: bool = False,
-                         rejoin_rounds: int = 0,
-                         seed: int = 0,
-                         jobs: int | None = None) -> FarmRoundsEstimate:
-    """Farm-level vectorised Monte-Carlo through a mirrored failover.
-
-    The statistical counterpart of
-    :func:`repro.server.faults.run_failover_scenario`: all ``disks``
-    drives are simulated jointly through up to three phases -- healthy
-    rounds ``[0, fail_round)``, degraded rounds ``[fail_round,
-    recover_round)`` with the per-disk populations of
-    :func:`repro.core.farm.failover_phase_batches` (failed disk idle,
-    survivor doubled, shedding caps applied), and recovered rounds
-    ``[recover_round, rounds)``.  With ``fail_round=None`` (or
-    ``fail_disk=None``) the whole run is one healthy phase.
-
-    The recovered phase starts from the *shed* populations: every disk
-    rejoins at the degraded ``kept`` level and, with ``rejoin_rounds >
-    0``, ramps linearly back to ``n_per_disk`` (an arrival process
-    refilling the freed capacity).  ``rejoin_rounds=0`` (default) holds
-    the shed level -- the event engine's drop-mode semantics, where
-    shed streams never return.  ``instant_rejoin=True`` pins the old
-    behaviour -- the full ``n_per_disk`` population reappears at
-    ``recover_round`` -- which matches the event engine's pause-mode
-    shedding (every paused stream resumes at the first healthy round
-    boundary).
-
-    Where the event-driven scenario walks every request through the
-    kernel calendar, this path batches each (disk, phase) into
-    :func:`simulate_rounds` -- orders of magnitude faster, at the cost
-    of the event path's exact arm carry-over across phase boundaries
-    and its per-stream bookkeeping.  The two are cross-validated
-    statistically (Wilson intervals) in the test suite; use the event
-    engine when per-stream traces matter and this one for sweeps.
-
-    Each disk draws from its own ``SeedSequence`` child, so ``jobs``
-    fan-out (via :mod:`repro.parallel`) is bit-identical to the serial
-    loop for every worker count.
-    """
-    _validate(spec, n_per_disk, t, rounds)
-    if disks < 1:
-        raise ConfigurationError(f"disks must be >= 1, got {disks!r}")
-    if fail_disk is not None and not (0 <= fail_disk < disks):
-        raise ConfigurationError(
-            f"fail_disk {fail_disk} out of range [0, {disks})")
-    if rejoin_rounds < 0:
-        raise ConfigurationError(
-            f"rejoin_rounds must be >= 0, got {rejoin_rounds!r}")
-    if instant_rejoin and rejoin_rounds:
-        raise ConfigurationError(
-            "instant_rejoin=True and rejoin_rounds are mutually "
-            "exclusive (an instant rejoin has no ramp)")
-    failing = fail_disk is not None and fail_round is not None
-    if failing:
-        if not (0 <= fail_round <= rounds):
-            raise ConfigurationError(
-                f"fail_round must be in [0, {rounds}], got {fail_round!r}")
-        recover_end = rounds if recover_round is None else recover_round
-        if not (fail_round <= recover_end <= rounds):
-            raise ConfigurationError(
-                f"recover_round must be in [{fail_round}, {rounds}], "
-                f"got {recover_round!r}")
-        from repro.core.farm import failover_phase_batches
-        healthy_batches, degraded_batches = failover_phase_batches(
-            disks, n_per_disk, degraded_n_max=degraded_n_max,
-            fail_disk=fail_disk, shedding=shedding)
-        recovered_span = rounds - recover_end
-        if instant_rejoin:
-            recovered_plan = [("recovered", healthy_batches,
-                               recovered_span)]
-        else:
-            kept = (min(n_per_disk, degraded_n_max) if shedding
-                    else n_per_disk)
-            recovered_plan = _rejoin_plan(disks, n_per_disk, kept,
-                                          recovered_span, rejoin_rounds)
-        phase_plan = [
-            ("healthy", healthy_batches, fail_round),
-            ("degraded", degraded_batches, recover_end - fail_round),
-            *recovered_plan,
-        ]
-    else:
-        phase_plan = [("healthy", (n_per_disk,) * disks, rounds)]
-
-    root = np.random.SeedSequence([seed, 0xFA9A])
-    tasks = [
-        (spec, size_dist, t,
-         tuple((name, batches[disk], phase_rounds)
-               for name, batches, phase_rounds in phase_plan),
-         child)
-        for disk, child in enumerate(root.spawn(disks))
-    ]
-    if jobs is not None:
-        from repro.parallel import simulate_farm_disks_parallel
-        per_disk = simulate_farm_disks_parallel(tasks, jobs)
-    else:
-        per_disk = [_simulate_disk_phases(task) for task in tasks]
-
-    # Group consecutive plan entries by phase name (a rejoin ramp
-    # splits "recovered" into several entries) and aggregate both the
-    # farm-level phase records and the per-disk raw tuples, so the
-    # estimate keeps its three-phase shape regardless of ramp depth.
-    phases, grouped_per_disk = _group_phase_results(
-        phase_plan, per_disk, disks)
-    return FarmRoundsEstimate(
-        disks=disks, n_per_disk=n_per_disk, t=t,
-        fail_disk=fail_disk if failing else None, shedding=shedding,
-        phases=phases, per_disk=grouped_per_disk)
 
 
 @dataclass(frozen=True)

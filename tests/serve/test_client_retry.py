@@ -354,3 +354,8 @@ class TestResults:
             ServeClient("http://x", retries=0)
         with pytest.raises(ConfigurationError):
             ServeClient("http://x", backoff=0.5, backoff_max=0.1)
+
+    def test_https_url_is_refused(self):
+        # The daemon serves plain HTTP only; nothing could answer TLS.
+        with pytest.raises(ConfigurationError, match="http://"):
+            ServeClient("https://127.0.0.1:8443")

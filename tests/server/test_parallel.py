@@ -1,11 +1,9 @@
 """Determinism and equivalence tests for the parallel execution layer.
 
 The contract under test: for a fixed seed, every estimate is
-bit-identical no matter how many worker processes compute it or which
-transport carries the results, the stream-glitch fan-out matches the
-serial function exactly, a worker failure fails fast with every
-shared-memory block released, and no ``/dev/shm`` blocks outlive any
-call.
+bit-identical no matter how many worker processes compute it, the
+stream-glitch fan-out matches the serial function exactly, a worker
+failure fails fast, and a killed worker is retried bit-identically.
 """
 
 import os
@@ -19,13 +17,11 @@ from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.parallel import (
     DEFAULT_CHUNK_ROUNDS,
     JOBS_ENV,
-    SHM_PREFIX,
-    WORKER_RETRIES_ENV,
+    WORKER_RETRIES,
     estimate_p_error_parallel,
     estimate_p_late_parallel,
     fan_out,
     resolve_jobs,
-    resolve_worker_retries,
     simulate_rounds_parallel,
     simulate_stream_glitches_parallel,
     sweep_p_error_parallel,
@@ -36,25 +32,6 @@ from repro.server import simulation as sim
 ROUNDS = 5_000
 N = 28
 T = 1.0
-
-
-def _shm_blocks():
-    """Names of live repro shared-memory blocks (None when the host has
-    no /dev/shm to inspect)."""
-    if not os.path.isdir("/dev/shm"):
-        return None
-    return {entry for entry in os.listdir("/dev/shm")
-            if entry.startswith(SHM_PREFIX)}
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_shm_blocks():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = _shm_blocks()
-    yield
-    after = _shm_blocks()
-    if before is not None:
-        assert after == before, f"leaked shm blocks: {after - before}"
 
 
 def _mul_ten(task):
@@ -168,68 +145,36 @@ class TestFanOutFailFast:
         with pytest.raises(ValueError):
             fan_out(_explode_on_two, [1, 2, 3], jobs=1)
 
-    def test_shm_released_on_worker_failure(self, viking):
+    def test_round_fan_out_fails_fast(self, viking):
         sizes = _ExplodingSizes.from_mean_std(200_000.0, 100_000.0)
-        with pytest.raises(ParallelExecutionError):
+        with pytest.raises(ParallelExecutionError) as info:
             simulate_rounds_parallel(viking, sizes, 4, T, 3000, seed=0,
-                                     jobs=2, chunk_rounds=512,
-                                     transport="shm")
-        # The autouse fixture asserts no /dev/shm leak on teardown.
+                                     jobs=2, chunk_rounds=512)
+        assert "sampler exploded" in str(info.value)
 
 
 class TestWorkerRetries:
-    # These tests SIGKILL the worker *process*, so they pin a process
-    # transport: under REPRO_PARALLEL_TRANSPORT=threads the worker
-    # would be a thread of this very interpreter.
-
-    def test_resolve_env_validation(self, monkeypatch):
-        monkeypatch.delenv(WORKER_RETRIES_ENV, raising=False)
-        assert resolve_worker_retries() == 1
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "  ")
-        assert resolve_worker_retries() == 1
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "0")
-        assert resolve_worker_retries() == 0
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "3")
-        assert resolve_worker_retries() == 3
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "many")
-        with pytest.raises(ConfigurationError):
-            resolve_worker_retries()
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "-1")
-        with pytest.raises(ConfigurationError):
-            resolve_worker_retries()
-
     def test_sigkilled_worker_retried_bit_identically(self, tmp_path,
                                                       monkeypatch):
         # A worker is SIGKILLed mid-fan-out (the OOM-killer scenario):
         # the broken pool is replaced, only unfinished tasks rerun, and
         # -- because every task re-seeds from its own SeedSequence --
         # the result matches the undisturbed jobs=1 run bit for bit.
-        monkeypatch.delenv(WORKER_RETRIES_ENV, raising=False)
         monkeypatch.setenv(_KILL_SENTINEL_ENV,
                            str(tmp_path / "killed-once"))
         expected = fan_out(_draw_from_seed, _seeded_tasks(6), jobs=1)
-        survived = fan_out(_draw_or_die_once, _seeded_tasks(6), jobs=2,
-                           transport="shm")
+        survived = fan_out(_draw_or_die_once, _seeded_tasks(6), jobs=2)
         assert survived == expected
         assert os.path.exists(os.environ[_KILL_SENTINEL_ENV])
 
     def test_budget_exhaustion_surfaces(self, monkeypatch):
+        # A worker that dies on every attempt outlives the one pool
+        # replacement the fan-out allows.
         monkeypatch.delenv(_KILL_SENTINEL_ENV, raising=False)
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "1")
         with pytest.raises(ParallelExecutionError) as info:
-            fan_out(_die_always, _seeded_tasks(6), jobs=2,
-                    transport="shm")
-        assert "retry budget exhausted" in str(info.value)
-        assert WORKER_RETRIES_ENV in str(info.value)
-
-    def test_zero_retries_restores_fail_fast(self, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "0")
-        monkeypatch.setenv(_KILL_SENTINEL_ENV,
-                           str(tmp_path / "killed-once"))
-        with pytest.raises(ParallelExecutionError):
-            fan_out(_draw_or_die_once, _seeded_tasks(6), jobs=2,
-                    transport="shm")
+            fan_out(_die_always, _seeded_tasks(6), jobs=2)
+        assert f"broke {WORKER_RETRIES + 1} time(s)" in str(info.value)
+        assert "retry budget" in str(info.value)
 
 
 class TestJobsInvariance:
@@ -325,54 +270,6 @@ class TestChunking:
         with pytest.raises(ConfigurationError):
             simulate_stream_glitches_parallel(viking, paper_sizes, 4,
                                               T, 10, 0, jobs=1)
-
-
-class TestTransports:
-    def test_rejects_unknown_transport(self, viking, paper_sizes):
-        with pytest.raises(ConfigurationError):
-            simulate_rounds_parallel(viking, paper_sizes, 4, T, 1000,
-                                     jobs=1, transport="carrier-pigeon")
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_shm_bit_identical_to_pickle(self, viking, paper_sizes,
-                                         jobs):
-        kw = dict(seed=17, chunk_rounds=512)
-        shm = simulate_rounds_parallel(viking, paper_sizes, 8, T, 3000,
-                                       jobs=jobs, transport="shm", **kw)
-        pickled = simulate_rounds_parallel(viking, paper_sizes, 8, T,
-                                           3000, jobs=jobs,
-                                           transport="pickle", **kw)
-        assert np.array_equal(shm.service_times, pickled.service_times)
-        assert np.array_equal(shm.seek_times, pickled.seek_times)
-        assert np.array_equal(shm.first_seek_times,
-                              pickled.first_seek_times)
-        assert np.array_equal(shm.glitches, pickled.glitches)
-
-    def test_glitch_shm_matches_serial(self, viking, paper_sizes):
-        serial = sim.simulate_stream_glitches(viking, paper_sizes, 12,
-                                              T, 40, 6, seed=9)
-        shm = simulate_stream_glitches_parallel(viking, paper_sizes, 12,
-                                                T, 40, 6, seed=9,
-                                                jobs=2, transport="shm")
-        assert np.array_equal(serial, shm)
-
-    def test_p_late_transport_invariant(self, viking, paper_sizes):
-        kw = dict(rounds=3000, seed=23, chunk_rounds=512, jobs=2)
-        assert (estimate_p_late_parallel(viking, paper_sizes, 8, T,
-                                         transport="shm", **kw)
-                == estimate_p_late_parallel(viking, paper_sizes, 8, T,
-                                            transport="pickle", **kw))
-
-    def test_result_arrays_are_writable_copies(self, viking,
-                                               paper_sizes):
-        # Callers get ordinary heap arrays, not views into (unlinked)
-        # shared memory.
-        batch = simulate_rounds_parallel(viking, paper_sizes, 4, T,
-                                         2000, seed=1, jobs=2,
-                                         chunk_rounds=512,
-                                         transport="shm")
-        batch.service_times[0] = -1.0  # must not raise
-        assert batch.service_times.flags.owndata
 
 
 class TestSweeps:

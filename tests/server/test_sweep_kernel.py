@@ -1,6 +1,6 @@
 """Sweep-kernel tests: plan/serve bit-identity, SCAN elevator order,
-golden same-seed server reports, and the farm kernel's statistical
-agreement with the event engine.
+golden same-seed server reports, and the farm kernel's pinned outputs
+and statistical agreement with the event engine.
 
 The tentpole contract of the vectorised sweep kernel is twofold: the
 event-driven path must stay *byte-identical* for a given seed (the plan
@@ -23,10 +23,11 @@ from repro.disk.request import DiskRequest
 from repro.disk.sweepkernel import plan_sweep, sample_cylinders_rates
 from repro.distributions import Gamma
 from repro.errors import ConfigurationError
-from repro.server.faults import run_failover_scenario
+from repro.server.faults import (FaultSchedule, SheddingPolicy, disk_fail,
+                                 disk_recover, run_failover_scenario)
+from repro.server.scenario import compile_scenario, simulate_scenario
 from repro.server.scheduler import DiskScheduler
-from repro.server.simulation import (simulate_farm_rounds,
-                                     simulate_rounds)
+from repro.server.simulation import simulate_rounds
 from repro.sim.engine import Engine
 
 
@@ -38,6 +39,32 @@ def viking():
 @pytest.fixture(scope="module")
 def sizes():
     return Gamma.from_mean_std(200_000.0, 100_000.0)
+
+
+def compile_failover(spec, size_dist, *, disks, n_per_disk, t, rounds,
+                     fail_round=None, recover_round=None,
+                     degraded_n_max=None, instant_rejoin=False,
+                     rejoin_rounds=0):
+    """The mirrored-failover shape as a compiled scenario: disk 0 fails
+    at ``fail_round`` and recovers at ``recover_round``; with
+    ``degraded_n_max`` a drop-mode policy sheds every disk down to that
+    many streams (``None``: no shedding, the survivor doubles)."""
+    events = []
+    if fail_round is not None:
+        events.append(disk_fail(fail_round * t, disk=0))
+    if recover_round is not None:
+        events.append(disk_recover(recover_round * t, disk=0))
+    policy = (None if degraded_n_max is None
+              else SheddingPolicy(degraded_n_max, mode="drop"))
+    return compile_scenario(
+        (spec,) * disks, size_dist, n_per_disk=n_per_disk, t=t,
+        rounds=rounds, schedule=FaultSchedule(events), policy=policy,
+        instant_rejoin=instant_rejoin, rejoin_rounds=rejoin_rounds)
+
+
+def simulate_failover(spec, size_dist, *, seed, jobs=None, **kwargs):
+    return simulate_scenario(compile_failover(spec, size_dist, **kwargs),
+                             seed=seed, jobs=jobs)
 
 
 class TestPlanServeIdentity:
@@ -227,10 +254,9 @@ class TestFailoverPhaseBatches:
 
 class TestFarmKernel:
     def test_phase_structure_and_counts(self, viking, sizes):
-        est = simulate_farm_rounds(viking, sizes, disks=2, n_per_disk=8,
-                                   t=1.0, rounds=100, fail_round=40,
-                                   recover_round=70, shedding=False,
-                                   seed=5)
+        est = simulate_failover(viking, sizes, disks=2, n_per_disk=8,
+                                t=1.0, rounds=100, fail_round=40,
+                                recover_round=70, seed=5)
         names = [p.name for p in est.phases]
         assert names == ["healthy", "degraded", "recovered"]
         healthy = est.phase("healthy")
@@ -245,20 +271,23 @@ class TestFarmKernel:
         assert recovered.rounds == 30 and recovered.disk_rounds == 60
 
     def test_no_failure_single_phase(self, viking, sizes):
-        est = simulate_farm_rounds(viking, sizes, disks=3, n_per_disk=5,
-                                   t=1.0, rounds=50, fail_round=None,
-                                   seed=1)
+        est = simulate_failover(viking, sizes, disks=3, n_per_disk=5,
+                                t=1.0, rounds=50, seed=1)
         assert [p.name for p in est.phases] == ["healthy"]
         assert est.fail_disk is None
         assert est.phase("healthy").disk_rounds == 150
 
     def test_jobs_fanout_bit_identical(self, viking, sizes):
         kwargs = dict(disks=2, n_per_disk=10, t=1.0, rounds=200,
-                      fail_round=80, shedding=False, seed=13)
-        serial = simulate_farm_rounds(viking, sizes, **kwargs)
-        pooled = simulate_farm_rounds(viking, sizes, jobs=2, **kwargs)
-        assert serial.per_disk == pooled.per_disk
-        assert serial.phases == pooled.phases
+                      fail_round=80, seed=13)
+        serial = simulate_failover(viking, sizes, **kwargs)
+        assert serial.per_disk == (
+            ((80, 0, 800, 0), (0, 0, 0, 0)),
+            ((80, 0, 800, 0), (120, 0, 2400, 0)))
+        for jobs in (1, 2, 3):
+            pooled = simulate_failover(viking, sizes, jobs=jobs, **kwargs)
+            assert serial.per_disk == pooled.per_disk
+            assert serial.phases == pooled.phases
 
     def test_cross_validates_event_engine(self, viking, sizes):
         """The farm kernel's degraded-phase glitch rate must agree
@@ -275,10 +304,14 @@ class TestFarmKernel:
         event_requests = degraded_rounds * 60
         event_ci = wilson_interval(event_glitches, event_requests)
 
-        kernel = simulate_farm_rounds(viking, sizes, disks=2,
-                                      n_per_disk=30, t=1.0, rounds=4000,
-                                      fail_round=500, shedding=False,
-                                      seed=3)
+        kernel = simulate_failover(viking, sizes, disks=2, n_per_disk=30,
+                                   t=1.0, rounds=4000, fail_round=500,
+                                   seed=3)
+        # Pinned: the same kernel draws on both sides of the engine
+        # consolidation (the survivor runs 60 requests per round).
+        assert kernel.per_disk == (
+            ((500, 17, 15000, 21), (0, 0, 0, 0)),
+            ((500, 19, 15000, 23), (3500, 3500, 210000, 90460)))
         kernel_ci = kernel.survivor_degraded().glitch_ci()
         assert kernel_ci[0] <= event_ci[1] and \
             event_ci[0] <= kernel_ci[1], (
@@ -287,11 +320,10 @@ class TestFarmKernel:
 
     def test_kernel_matches_plain_simulate_rounds_when_healthy(
             self, viking, sizes):
-        """A single healthy disk through the farm wrapper reproduces
+        """A single healthy disk through the farm engine reproduces
         simulate_rounds on the farm's per-disk seed exactly."""
-        est = simulate_farm_rounds(viking, sizes, disks=1, n_per_disk=6,
-                                   t=1.0, rounds=300, fail_round=None,
-                                   seed=9)
+        est = simulate_failover(viking, sizes, disks=1, n_per_disk=6,
+                                t=1.0, rounds=300, seed=9)
         child = np.random.SeedSequence([9, 0xFA9A]).spawn(1)[0]
         batch = simulate_rounds(viking, sizes, 6, 1.0, 300,
                                 np.random.default_rng(child))
@@ -301,15 +333,18 @@ class TestFarmKernel:
 
     def test_validation_errors(self, viking, sizes):
         with pytest.raises(ConfigurationError):
-            simulate_farm_rounds(viking, sizes, disks=0, n_per_disk=5,
-                                 t=1.0, rounds=10)
+            compile_scenario((), sizes, n_per_disk=5, t=1.0, rounds=10)
         with pytest.raises(ConfigurationError):
-            simulate_farm_rounds(viking, sizes, disks=2, n_per_disk=5,
-                                 t=1.0, rounds=10, fail_round=20)
+            compile_failover(viking, sizes, disks=2, n_per_disk=0,
+                             t=1.0, rounds=10)
         with pytest.raises(ConfigurationError):
-            simulate_farm_rounds(viking, sizes, disks=2, n_per_disk=5,
-                                 t=1.0, rounds=10, fail_round=5,
-                                 recover_round=3)
+            compile_failover(viking, sizes, disks=2, n_per_disk=5,
+                             t=1.0, rounds=0)
+        with pytest.raises(ConfigurationError):
+            compile_scenario((viking,) * 2, sizes, n_per_disk=5, t=1.0,
+                             rounds=10,
+                             schedule=FaultSchedule([disk_fail(2.0,
+                                                               disk=2)]))
 
 
 class TestRecoveredRejoin:
@@ -317,24 +352,26 @@ class TestRecoveredRejoin:
 
     The old kernel modelled the recovered phase with the *healthy*
     populations, so streams shed during the degraded phase reappeared
-    out of thin air at ``recover_round``.  The fixed default starts the
-    recovered phase from the shed populations (event-engine drop-mode
-    semantics); ``rejoin_rounds`` ramps back up, and
-    ``instant_rejoin=True`` pins the old behaviour (pause-mode
-    semantics, where every paused stream resumes at once).
+    out of thin air at the recovery round.  Under a drop-mode policy
+    the recovered phase starts from the shed populations (event-engine
+    drop-mode semantics); ``rejoin_rounds`` ramps back up, and
+    ``instant_rejoin=True`` restores the full population at once
+    (pause-mode semantics, where every paused stream resumes).
+
+    The ``per_disk`` literals were recorded from the farm engine this
+    compiler replaced and must not move.
     """
 
     #: 2 disks x 30 streams, failure rounds [20, 45) of 60, shed to the
     #: degraded bound of 13 per disk.
     KW = dict(disks=2, n_per_disk=30, t=1.0, rounds=60, fail_round=20,
-              recover_round=45, shedding=True, degraded_n_max=13,
-              seed=7)
+              recover_round=45, degraded_n_max=13)
 
     def test_recovered_phase_starts_from_shed_population(self, viking,
                                                          sizes):
         """Regression (fails pre-fix): by default the recovered phase
         runs at the shed level, not the healthy one."""
-        est = simulate_farm_rounds(viking, sizes, **self.KW)
+        est = simulate_failover(viking, sizes, seed=7, **self.KW)
         assert [p.name for p in est.phases] == \
             ["healthy", "degraded", "recovered"]
         recovered = est.phase("recovered")
@@ -344,33 +381,48 @@ class TestRecoveredRejoin:
         assert recovered.requests == 15 * 2 * 13
         for disk in range(2):
             assert est.per_disk[disk][2][2] == 15 * 13
+        assert est.per_disk == (
+            ((20, 0, 600, 0), (0, 0, 0, 0), (15, 0, 195, 0)),
+            ((20, 0, 600, 0), (25, 0, 650, 0), (15, 0, 195, 0)))
 
     def test_instant_rejoin_pins_old_behaviour(self, viking, sizes):
-        est = simulate_farm_rounds(viking, sizes, instant_rejoin=True,
-                                   **self.KW)
+        est = simulate_failover(viking, sizes, seed=7,
+                                instant_rejoin=True, **self.KW)
         recovered = est.phase("recovered")
         assert recovered.rounds == 15
         assert recovered.requests == 15 * 2 * 30
         for disk in range(2):
             assert est.per_disk[disk][2][2] == 15 * 30
+        assert est.per_disk == (
+            ((20, 0, 600, 0), (0, 0, 0, 0), (15, 1, 450, 1)),
+            ((20, 0, 600, 0), (25, 0, 650, 0), (15, 0, 450, 0)))
 
     def test_rejoin_ramp_refills_to_full_population(self, viking,
                                                     sizes):
         """``rejoin_rounds=5`` ramps 13 -> 30 per disk linearly and the
         three-phase estimate shape survives the split plan."""
-        est = simulate_farm_rounds(viking, sizes, rejoin_rounds=5,
-                                   **self.KW)
+        compiled = compile_failover(viking, sizes, rejoin_rounds=5,
+                                    **self.KW)
+        # Ramp levels ceil-interpolated from 13 to 30 over 5 rounds
+        # (17, 20, 24, 27, 30), then 10 more rounds at the full 30,
+        # merged into the last entry.
+        ramp = [(entry.batches, entry.rounds) for entry in compiled.plan
+                if entry.name == "recovered"]
+        assert ramp == [((17, 17), 1), ((20, 20), 1), ((24, 24), 1),
+                        ((27, 27), 1), ((30, 30), 11)]
+        est = simulate_scenario(compiled, seed=7)
         assert [p.name for p in est.phases] == \
             ["healthy", "degraded", "recovered"]
         recovered = est.phase("recovered")
         assert recovered.rounds == 15
-        # Ramp levels ceil-interpolated from 13 to 30 over 5 rounds
-        # (17, 20, 24, 27, 30), then 10 rounds at the full 30.
         per_disk_requests = (17 + 20 + 24 + 27 + 30) + 10 * 30
         assert recovered.requests == 2 * per_disk_requests
-        hold = simulate_farm_rounds(viking, sizes, **self.KW)
-        instant = simulate_farm_rounds(viking, sizes,
-                                       instant_rejoin=True, **self.KW)
+        assert est.per_disk == (
+            ((20, 0, 600, 0), (0, 0, 0, 0), (15, 2, 418, 3)),
+            ((20, 0, 600, 0), (25, 0, 650, 0), (15, 0, 418, 0)))
+        hold = simulate_failover(viking, sizes, seed=7, **self.KW)
+        instant = simulate_failover(viking, sizes, seed=7,
+                                    instant_rejoin=True, **self.KW)
         assert hold.phase("recovered").requests \
             < recovered.requests \
             < instant.phase("recovered").requests
@@ -379,16 +431,19 @@ class TestRecoveredRejoin:
         """A ramp longer than the remaining rounds never overshoots the
         run length and still ends at n_per_disk-sized rounds."""
         kwargs = dict(self.KW, rounds=48)  # only 3 recovered rounds
-        est = simulate_farm_rounds(viking, sizes, rejoin_rounds=5,
-                                   **kwargs)
+        est = simulate_failover(viking, sizes, seed=7, rejoin_rounds=5,
+                                **kwargs)
         recovered = est.phase("recovered")
         assert recovered.rounds == 3
         # First three ramp levels: 17, 20, 24.
         assert recovered.requests == 2 * (17 + 20 + 24)
+        assert est.per_disk == (
+            ((20, 0, 600, 0), (0, 0, 0, 0), (3, 0, 61, 0)),
+            ((20, 0, 600, 0), (25, 0, 650, 0), (3, 0, 61, 0)))
 
     def test_drop_mode_cross_validates_event_engine(self, viking,
                                                     sizes):
-        """Drop-mode event engine vs the kernel default: the recovered
+        """Drop-mode event engine vs the kernel: the recovered
         populations must match exactly and the recovered-phase glitch
         rates must agree (overlapping Wilson 95 % intervals)."""
         event = run_failover_scenario(viking, sizes, disks=2, t=1.0,
@@ -403,10 +458,10 @@ class TestRecoveredRejoin:
             event.report.glitches_by_round.items() if r >= 45)
         event_ci = wilson_interval(event_glitches, span * remaining)
 
-        kernel = simulate_farm_rounds(
+        kernel = simulate_failover(
             viking, sizes, disks=2,
             n_per_disk=event.streams_opened // 2, t=1.0, rounds=2000,
-            fail_round=200, recover_round=500, shedding=True,
+            fail_round=200, recover_round=500,
             degraded_n_max=event.degraded_n_max, seed=3)
         recovered = kernel.phase("recovered")
         # Same per-round farm population after a drop-mode recovery.
@@ -420,8 +475,7 @@ class TestRecoveredRejoin:
 
     def test_rejoin_validation(self, viking, sizes):
         with pytest.raises(ConfigurationError):
-            simulate_farm_rounds(viking, sizes, rejoin_rounds=-1,
-                                 **self.KW)
+            compile_failover(viking, sizes, rejoin_rounds=-1, **self.KW)
         with pytest.raises(ConfigurationError):
-            simulate_farm_rounds(viking, sizes, instant_rejoin=True,
-                                 rejoin_rounds=5, **self.KW)
+            compile_failover(viking, sizes, instant_rejoin=True,
+                             rejoin_rounds=5, **self.KW)

@@ -3,6 +3,7 @@ cached-vs-uncached / probe-count contracts of the admission pipeline,
 and the persistent on-disk layer (round-trips, corruption tolerance,
 cross-process reuse)."""
 
+import inspect
 import json
 import os
 import sqlite3
@@ -38,7 +39,16 @@ from repro.core import (
     n_max_plate,
 )
 from repro.core.chernoff import ChernoffResult
-from repro.distributions import Gamma, LogNormal
+from repro.distributions import (
+    Deterministic,
+    Empirical,
+    Gamma,
+    LogNormal,
+    Mixture,
+    Pareto,
+    Truncated,
+    Uniform,
+)
 from repro.errors import ConfigurationError
 
 
@@ -47,6 +57,35 @@ def _fresh_cache():
     clear_cache()
     yield
     clear_cache()
+
+
+def _call_public_methods(law) -> set[str]:
+    """Call every public instance method and read every public property
+    of ``law`` once, with an argument chosen by parameter name; returns
+    the names called.  Calls the law refuses (no MGF, say) still count:
+    they must not touch the fingerprint either."""
+    theta = 0.5 * min(law.theta_sup, 1.0) if law.has_mgf() else 0.0
+    arguments = {"x": law.mean(), "q": 0.5, "k": 2, "theta": theta,
+                 "rng": np.random.default_rng(0), "size": 4}
+    called = set()
+    for name in dir(law):
+        if name.startswith("_"):
+            continue
+        static = inspect.getattr_static(law, name)
+        if isinstance(static, (classmethod, staticmethod)):
+            continue  # constructors: they build a new law
+        called.add(name)
+        try:
+            value = getattr(law, name)  # a property: this is the call
+            if callable(value):
+                args = [arguments[param] for param in
+                        inspect.signature(value).parameters]
+                if name == "log_mgf_array":
+                    args = [np.array([0.0, theta])]
+                value(*args)
+        except repro.errors.ReproError:
+            pass
+    return called
 
 
 class TestFingerprint:
@@ -78,14 +117,27 @@ class TestFingerprint:
                                             paper_sizes)
         assert m1.fingerprint != m2.fingerprint
 
-    @pytest.mark.parametrize("make", [lambda: Gamma(2.0, 3.0),
-                                      lambda: LogNormal(0.5, 0.8)])
+    @pytest.mark.parametrize("make", [
+        lambda: Gamma(2.0, 3.0),
+        lambda: LogNormal(0.5, 0.8),
+        lambda: Pareto(1.0, 3.0),
+        lambda: Uniform(0.5, 2.0),
+        lambda: Deterministic(1.5),
+        lambda: Truncated(LogNormal(0.5, 0.8), 0.1, 9.0),
+        lambda: Empirical([0.4, 1.0, 1.3, 2.2, 3.1]),
+        lambda: Mixture([(0.3, Gamma(2.0, 1.0)), (0.7, Uniform(0.5, 2.0))]),
+    ])
     def test_law_fingerprint_ignores_scipy_use(self, make):
-        # pdf/cdf/ppf reach scipy; a law kept on the instance would
-        # change the fingerprint the first time one of them runs.
+        # pdf/cdf/ppf reach scipy, and any method could cache a value
+        # on the instance; either would change the fingerprint (and so
+        # every persistent-store key and snapshot config key) the first
+        # time the method runs.  Every public method of every law in
+        # repro.distributions is called once.
         law = make()
         before = fingerprint(law)
-        law.pdf(1.0), law.cdf(1.0), law.ppf(0.5)
+        called = _call_public_methods(law)
+        assert {"pdf", "cdf", "ppf", "sf", "sample", "mean", "var",
+                "log_mgf", "log_mgf_array"} <= called
         assert fingerprint(law) == before == fingerprint(make())
 
     def test_instance_fingerprint_unique(self):
