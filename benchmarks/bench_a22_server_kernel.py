@@ -10,7 +10,10 @@ populations -- as batched NumPy sweeps.  This bench times both on the
 same scenario (the kernel leg includes compiling the schedule) and
 pins the kernel's speedup, and checks the two agree statistically (the
 kernel's degraded phase must stay within the same ``delta`` the
-event-driven shed survivors meet).
+event-driven shed survivors meet).  The kernel leg takes a few
+milliseconds, so, like bench A23's warm builds, it is timed as the
+median of ``KERNEL_RUNS`` calls: one slow call on a shared host would
+otherwise swing the gated ratio.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so the CI regression leg
 can run it in seconds; the speedup floor relaxes accordingly (constant
@@ -18,6 +21,7 @@ per-call overheads weigh more at small round counts).
 """
 
 import os
+import statistics
 import time
 
 from repro.analysis import format_probability, render_table
@@ -32,6 +36,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 ROUNDS = 60 if SMOKE else 300
 FAIL_ROUND = 15 if SMOKE else 40
 MIN_SPEEDUP = 3.0 if SMOKE else 10.0
+#: Timed calls of the kernel leg; the speedup divides by their median.
+KERNEL_RUNS = 5
 
 
 def run_both(spec, sizes):
@@ -39,7 +45,9 @@ def run_both(spec, sizes):
 
     The degraded-mode bound solve is pre-warmed outside the timed
     regions (both engines need it; the persistent cache would otherwise
-    hand the second caller an unearned advantage).
+    hand the second caller an unearned advantage).  Returns the two
+    reports, the event engine's seconds and the kernel leg's per-call
+    seconds.
     """
     healthy, failure_proof = degraded_mode_n_max(spec, sizes, T, DELTA)
 
@@ -47,26 +55,31 @@ def run_both(spec, sizes):
     event = run_failover_scenario(spec, sizes, disks=2, t=T, delta=DELTA,
                                   rounds=ROUNDS, fail_round=FAIL_ROUND,
                                   shedding=True, seed=0)
-    mid = time.perf_counter()
-    compiled = compile_scenario(
-        (spec, spec), sizes, n_per_disk=healthy, t=T, rounds=ROUNDS,
-        schedule=FaultSchedule([disk_fail(FAIL_ROUND * T, disk=0)]),
-        policy=SheddingPolicy(failure_proof))
-    kernel = simulate_scenario(compiled, seed=0)
-    end = time.perf_counter()
-    return event, kernel, mid - start, end - mid
+    event_s = time.perf_counter() - start
+    kernel_runs = []
+    for _ in range(KERNEL_RUNS):
+        begin = time.perf_counter()
+        compiled = compile_scenario(
+            (spec, spec), sizes, n_per_disk=healthy, t=T, rounds=ROUNDS,
+            schedule=FaultSchedule([disk_fail(FAIL_ROUND * T, disk=0)]),
+            policy=SheddingPolicy(failure_proof))
+        kernel = simulate_scenario(compiled, seed=0)
+        kernel_runs.append(time.perf_counter() - begin)
+    return event, kernel, event_s, kernel_runs
 
 
 def test_a22_server_kernel(benchmark, viking, paper_sizes, record,
                            record_json):
-    event, kernel, event_s, kernel_s = benchmark.pedantic(
+    event, kernel, event_s, kernel_runs = benchmark.pedantic(
         run_both, args=(viking, paper_sizes), rounds=1, iterations=1)
+    kernel_s = statistics.median(kernel_runs)
     speedup = event_s / kernel_s
 
     degraded = kernel.phase("degraded")
     rows = [
         ["scenario rounds", str(ROUNDS), str(ROUNDS)],
-        ["wall clock [s]", f"{event_s:.4f}", f"{kernel_s:.4f}"],
+        [f"wall clock [s] (kernel: median of {KERNEL_RUNS})",
+         f"{event_s:.4f}", f"{kernel_s:.4f}"],
         ["kernel speedup", "1x", f"{speedup:.1f}x"],
         ["max survivor glitch rate / degraded glitch rate",
          format_probability(event.max_glitch_rate),
@@ -84,6 +97,7 @@ def test_a22_server_kernel(benchmark, viking, paper_sizes, record,
         "rounds": ROUNDS,
         "event_seconds": event_s,
         "kernel_seconds": kernel_s,
+        "kernel_runs_s": kernel_runs,
         "speedup": speedup,
         "event_max_glitch_rate": event.max_glitch_rate,
         "kernel_degraded_glitch_rate": degraded.glitch_rate,

@@ -40,8 +40,7 @@ from repro.distributions import Distribution
 from repro.errors import ConfigurationError
 
 __all__ = ["FarmPlan", "plan_farm", "degraded_mode_n_max",
-           "degraded_modes", "failover_phase_batches", "mirror_of",
-           "shed_target"]
+           "degraded_modes", "mirror_of", "shed_target"]
 
 
 def mirror_of(disk: int, disks: int) -> int | None:
@@ -74,52 +73,6 @@ def shed_target(disks: int, failure_proof: int) -> int:
         raise ConfigurationError(
             f"failure_proof must be >= 0, got {failure_proof!r}")
     return disks * failure_proof
-
-
-def failover_phase_batches(disks: int, n_per_disk: int,
-                           degraded_n_max: int | None = None,
-                           fail_disk: int = 0,
-                           shedding: bool = True
-                           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-disk round batch sizes before and during a single failure.
-
-    Returns ``(healthy, degraded)`` tuples of length ``disks``.  While
-    every disk is up each serves ``n_per_disk`` requests per round.
-    When ``fail_disk`` dies, its RAID-1 partner absorbs the doubled
-    batch; with ``shedding`` the policy first caps every disk's own
-    batch at ``degraded_n_max`` (the ``failure_proof`` limit of
-    :func:`degraded_mode_n_max`), so the survivor's doubled batch stays
-    within the degraded-mode bound.  On an odd farm the last disk has
-    no partner and its requests are simply lost (no survivor doubles).
-
-    These are the steady-state batches that
-    :func:`repro.server.scenario.compile_scenario` walks a single
-    failure into (round by round, from a fault schedule); the
-    event-driven :func:`repro.server.faults.run_failover_scenario`
-    reaches them through per-round shedding decisions.
-    """
-    if disks < 1:
-        raise ConfigurationError(f"disks must be >= 1, got {disks!r}")
-    if n_per_disk < 1:
-        raise ConfigurationError(
-            f"n_per_disk must be >= 1, got {n_per_disk!r}")
-    partner = mirror_of(fail_disk, disks)
-    if shedding:
-        if degraded_n_max is None:
-            raise ConfigurationError(
-                "shedding requires degraded_n_max (the failure_proof "
-                "limit of degraded_mode_n_max)")
-        if degraded_n_max < 0:
-            raise ConfigurationError(
-                f"degraded_n_max must be >= 0, got {degraded_n_max!r}")
-        kept = min(n_per_disk, degraded_n_max)
-    else:
-        kept = n_per_disk
-    healthy = (n_per_disk,) * disks
-    degraded = tuple(
-        0 if d == fail_disk else (2 * kept if d == partner else kept)
-        for d in range(disks))
-    return healthy, degraded
 
 
 @dataclass(frozen=True)

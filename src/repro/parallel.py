@@ -1,21 +1,26 @@
 """Deterministic process-parallel execution of the Monte-Carlo hot paths.
 
 The validation experiments (Figure 1, Table 2, the A-series ablations)
-burn almost all of their wall-clock in :func:`simulate_rounds` and
-:func:`simulate_stream_glitches`.  Both are embarrassingly parallel at
-the right granularity -- independent blocks of rounds, independent
-stream lifetimes -- so this module fans them out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+burn almost all of their wall-clock in
+:func:`~repro.server.simulation.simulate_rounds`.  Its work is
+embarrassingly parallel at the right granularity -- independent blocks
+of rounds, independent stream lifetimes -- so this module fans it out
+over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Two parallelism axes are exposed:
 
-- **within one estimate** -- :func:`simulate_rounds_parallel` splits one
-  long run into fixed chunks, :func:`simulate_stream_glitches_parallel`
-  one task per stream lifetime;
+- **within one run** -- :func:`simulate_rounds_parallel` splits one long
+  run into fixed chunks;
 - **across an estimate sweep** -- :func:`sweep_p_late_parallel` /
   :func:`sweep_p_error_parallel` flatten the per-``N`` points of a
   Figure-1 / Table-2 grid into one global task list, so a full sweep
   saturates all cores even when a single point has too few chunks to.
+
+The single-point estimates of :mod:`repro.server.simulation` ride on
+these: ``estimate_p_late(jobs=k)`` is a one-point
+:func:`sweep_p_late_parallel`, and ``simulate_stream_glitches(jobs=k)``
+(hence ``estimate_p_error``) hands one task per stream lifetime to
+:func:`fan_out`.
 
 Fan-out
 -------
@@ -50,7 +55,6 @@ path already accepts at its internal block boundaries (see
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -58,7 +62,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.analysis.stats import wilson_interval
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.disk.presets import DiskSpec
@@ -68,6 +71,8 @@ from repro.server.simulation import (
     PErrorEstimate,
     PLateEstimate,
     RoundBatch,
+    _check_glitch_query,
+    _glitch_row,
     simulate_rounds,
 )
 
@@ -75,9 +80,6 @@ __all__ = [
     "resolve_jobs",
     "fan_out",
     "simulate_rounds_parallel",
-    "estimate_p_late_parallel",
-    "simulate_stream_glitches_parallel",
-    "estimate_p_error_parallel",
     "sweep_p_late_parallel",
     "sweep_p_error_parallel",
 ]
@@ -260,15 +262,6 @@ def _run_round_chunk(task) -> RoundBatch:
                            recal_duration=recal_duration)
 
 
-def _run_glitch_run(task) -> np.ndarray:
-    """Glitch worker: one stream lifetime of ``m`` rounds; returns
-    per-stream glitch counts, shape ``(n,)``."""
-    spec, size_dist, n, t, m, seed_seq = task
-    rng = np.random.default_rng(seed_seq)
-    batch = simulate_rounds(spec, size_dist, n, t, m, rng)
-    return np.sum(batch.glitches, axis=0)
-
-
 def _run_sweep_late_chunk(task) -> tuple[int, int]:
     """Sweep worker: one chunk of one grid point; returns scalars only
     (point index, late-round count)."""
@@ -280,8 +273,7 @@ def _run_sweep_late_chunk(task) -> tuple[int, int]:
 
 def _run_sweep_glitch_run(task) -> tuple[int, np.ndarray]:
     """Sweep worker: one stream lifetime of one grid point."""
-    point, spec, size_dist, n, t, m, seed_seq = task
-    return point, _run_glitch_run((spec, size_dist, n, t, m, seed_seq))
+    return task[0], _glitch_row(task[1:])
 
 
 # ----------------------------------------------------------------------
@@ -320,63 +312,6 @@ def _concat_batches(batches: list[RoundBatch]) -> RoundBatch:
         seek_times=np.concatenate([b.seek_times for b in batches]),
         first_seek_times=np.concatenate(
             [b.first_seek_times for b in batches]))
-
-
-def estimate_p_late_parallel(spec: DiskSpec, size_dist: Distribution,
-                             n: int, t: float, rounds: int = 20_000,
-                             seed: int = 0, jobs: int | None = None,
-                             chunk_rounds: int = DEFAULT_CHUNK_ROUNDS
-                             ) -> PLateEstimate:
-    """Monte-Carlo ``p_late`` estimate over the chunk-parallel path."""
-    batch = simulate_rounds_parallel(spec, size_dist, n, t, rounds,
-                                     seed=seed, jobs=jobs,
-                                     chunk_rounds=chunk_rounds)
-    late = int(np.sum(batch.service_times > t))
-    low, high = wilson_interval(late, rounds)
-    return PLateEstimate(n=n, t=t, rounds=rounds, late_rounds=late,
-                         p_late=late / rounds, ci_low=low, ci_high=high)
-
-
-def simulate_stream_glitches_parallel(spec: DiskSpec,
-                                      size_dist: Distribution, n: int,
-                                      t: float, m: int, runs: int,
-                                      seed: int = 0,
-                                      jobs: int | None = None
-                                      ) -> np.ndarray:
-    """Parallel per-stream glitch counts, shape ``(runs, n)``.
-
-    Uses the same per-run ``SeedSequence.spawn`` scheme as the serial
-    :func:`repro.server.simulation.simulate_stream_glitches`, so the
-    result is bit-identical to the serial function *and* invariant to
-    ``jobs``.
-    """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
-    jobs = resolve_jobs(jobs)
-    children = np.random.SeedSequence(seed).spawn(runs)
-    tasks = [(spec, size_dist, n, t, m, child) for child in children]
-    rows = fan_out(_run_glitch_run, tasks, jobs)
-    return np.stack(rows).astype(np.int64)
-
-
-def estimate_p_error_parallel(spec: DiskSpec, size_dist: Distribution,
-                              n: int, t: float, m: int, g: int,
-                              runs: int = 100, seed: int = 0,
-                              jobs: int | None = None) -> PErrorEstimate:
-    """Monte-Carlo ``p_error`` estimate over the run-parallel path."""
-    if not (0 <= g <= m):
-        raise ConfigurationError(f"g must be in [0, m], got {g!r}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ConfigurationError(f"round length must be positive, got {t!r}")
-    counts = simulate_stream_glitches_parallel(spec, size_dist, n, t, m,
-                                               runs, seed=seed, jobs=jobs)
-    streams = counts.size
-    bad = int(np.sum(counts >= g))
-    low, high = wilson_interval(bad, streams)
-    return PErrorEstimate(n=n, t=t, m=m, g=g, streams=streams,
-                          bad_streams=bad, p_error=bad / streams,
-                          ci_low=low, ci_high=high,
-                          mean_glitches=float(np.mean(counts)))
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +357,10 @@ def sweep_p_late_parallel(spec: DiskSpec, size_dist: Distribution, ns,
     All ``(point, chunk)`` tasks of the whole grid are flattened into a
     single fan-out, so a Figure-1 sweep saturates every core even though
     each individual point only has ``rounds / chunk_rounds`` chunks.
-    Point ``i`` is bit-identical to
-    ``estimate_p_late_parallel(..., seed=seeds[i])`` for any ``jobs``;
-    workers return only ``(point, late_count)`` scalars.
+    Point ``i`` is bit-identical, for any ``jobs``, to
+    ``estimate_p_late(..., seed=seeds[i], jobs=k)`` (which is this
+    sweep over a one-point grid); workers return only
+    ``(point, late_count)`` scalars.
     """
     ns = _validated_grid(ns)
     jobs = resolve_jobs(jobs)
@@ -439,13 +375,8 @@ def sweep_p_late_parallel(spec: DiskSpec, size_dist: Distribution, ns,
     late = [0] * len(ns)
     for point, count in fan_out(_run_sweep_late_chunk, tasks, jobs):
         late[point] += count
-    estimates = []
-    for n, count in zip(ns, late):
-        low, high = wilson_interval(count, rounds)
-        estimates.append(PLateEstimate(
-            n=n, t=t, rounds=rounds, late_rounds=count,
-            p_late=count / rounds, ci_low=low, ci_high=high))
-    return estimates
+    return [PLateEstimate.from_count(n, t, rounds, count)
+            for n, count in zip(ns, late)]
 
 
 def sweep_p_error_parallel(spec: DiskSpec, size_dist: Distribution, ns,
@@ -461,12 +392,7 @@ def sweep_p_error_parallel(spec: DiskSpec, size_dist: Distribution, ns,
     return one ``(n,)`` count row per lifetime.
     """
     ns = _validated_grid(ns)
-    if not (0 <= g <= m):
-        raise ConfigurationError(f"g must be in [0, m], got {g!r}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ConfigurationError(f"round length must be positive, got {t!r}")
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
+    _check_glitch_query(t, m, runs, g)
     jobs = resolve_jobs(jobs)
     roots = _point_seed_sequences(ns, seed, seeds)
     tasks = []
@@ -476,14 +402,6 @@ def sweep_p_error_parallel(spec: DiskSpec, size_dist: Distribution, ns,
     rows: list[list[np.ndarray]] = [[] for _ in ns]
     for point, row in fan_out(_run_sweep_glitch_run, tasks, jobs):
         rows[point].append(row)
-    estimates = []
-    for n, point_rows in zip(ns, rows):
-        counts = np.stack(point_rows).astype(np.int64)
-        streams = counts.size
-        bad = int(np.sum(counts >= g))
-        low, high = wilson_interval(bad, streams)
-        estimates.append(PErrorEstimate(
-            n=n, t=t, m=m, g=g, streams=streams, bad_streams=bad,
-            p_error=bad / streams, ci_low=low, ci_high=high,
-            mean_glitches=float(np.mean(counts))))
-    return estimates
+    return [PErrorEstimate.from_counts(
+                n, t, m, g, np.stack(point_rows).astype(np.int64))
+            for n, point_rows in zip(ns, rows)]

@@ -46,7 +46,6 @@ __all__ = [
     "disk_fail",
     "disk_recover",
     "slow_disk",
-    "slow_disk_creep",
     "recalibration_storm",
     "FaultSchedule",
     "FaultInjector",
@@ -144,40 +143,6 @@ def recalibration_storm(t: float, prob: float, duration: float,
     probability ``prob`` (cf. :mod:`repro.core.faults`)."""
     return FaultEvent("recalibration_storm", t, disk=disk, prob=prob,
                       duration=duration, stall=stall)
-
-
-def slow_disk_creep(t_from: float, t_to: float, factor_to: float,
-                    steps: int = 8, disk: int = 0,
-                    factor_from: float = 1.0) -> list[FaultEvent]:
-    """Drift schedule: service times on ``disk`` creep from
-    ``factor_from`` to ``factor_to`` in ``steps`` equal multiplicative
-    increments over ``[t_from, t_to]``.
-
-    This is the canonical adversary of the adaptive controller
-    (``repro serve --adaptive``): each step is an ordinary
-    :func:`slow_disk` event, so the creep replays through every
-    existing transport (``FaultFeed``, ``--fault-schedule`` TOML, the
-    scenario compiler) -- no new event kind, just a geometric ramp of
-    the one that exists.  The factor interpolation is geometric, not
-    linear, because service-time drift compounds multiplicatively and
-    a geometric ramp stresses every scale decade equally.
-    """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps!r}")
-    if not (t_to >= t_from >= 0.0):
-        raise ConfigurationError(
-            f"need 0 <= t_from <= t_to, got {t_from!r}/{t_to!r}")
-    if not (factor_from > 0.0 and factor_to > 0.0):
-        raise ConfigurationError(
-            f"creep factors must be positive, got "
-            f"{factor_from!r}/{factor_to!r}")
-    events = []
-    for step in range(1, steps + 1):
-        fraction = step / steps
-        t = t_from + (t_to - t_from) * fraction
-        factor = factor_from * (factor_to / factor_from) ** fraction
-        events.append(slow_disk(t, factor, disk=disk))
-    return events
 
 
 class FaultSchedule:

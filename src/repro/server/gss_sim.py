@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.disk.presets import DiskSpec
+from repro.disk.sweepkernel import sample_cylinders_rates
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
-from repro.server.simulation import _sample_cylinders_rates, _validate
+from repro.server.simulation import _validate
 
 __all__ = ["GssBatch", "simulate_gss_rounds"]
 
@@ -70,7 +71,7 @@ def simulate_gss_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
     for r in range(rounds):
         clock = 0.0  # time within the round
         for g in range(groups):
-            cylinders, rates = _sample_cylinders_rates(
+            cylinders, rates = sample_cylinders_rates(
                 spec, rng, (1, group_size))
             cylinders, rates = cylinders[0], rates[0]
             sizes = np.asarray(size_dist.sample(rng, group_size),

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.disk.presets import DiskSpec
+from repro.disk.sweepkernel import sample_cylinders_rates
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
-from repro.server.simulation import _sample_cylinders_rates, _validate
+from repro.server.simulation import _validate
 
 __all__ = ["MixedBatch", "simulate_mixed_rounds", "DiscreteQueueResult",
            "simulate_discrete_queue"]
@@ -91,13 +92,13 @@ def simulate_mixed_rounds(spec: DiskSpec, continuous_sizes: Distribution,
     arm = 0.0
 
     for r in range(rounds):
-        cont_cyl, cont_rate = _sample_cylinders_rates(spec, rng, (1, n))
+        cont_cyl, cont_rate = sample_cylinders_rates(spec, rng, (1, n))
         cont_cyl, cont_rate = cont_cyl[0], cont_rate[0]
         cont_transfer = (np.asarray(continuous_sizes.sample(rng, n),
                                     dtype=float) / cont_rate)
         if k:
-            disc_cyl, disc_rate = _sample_cylinders_rates(spec, rng,
-                                                          (1, k))
+            disc_cyl, disc_rate = sample_cylinders_rates(spec, rng,
+                                                         (1, k))
             disc_cyl, disc_rate = disc_cyl[0], disc_rate[0]
             disc_transfer = (np.asarray(discrete_sizes.sample(rng, k),
                                         dtype=float) / disc_rate)
@@ -197,7 +198,7 @@ def simulate_discrete_queue(spec: DiskSpec,
         queue_arrival_round.extend([r] * new)
         queue_lengths[r] = len(queue_arrival_round)
 
-        cont_cyl, cont_rate = _sample_cylinders_rates(spec, rng, (1, n))
+        cont_cyl, cont_rate = sample_cylinders_rates(spec, rng, (1, n))
         cont_cyl, cont_rate = cont_cyl[0], cont_rate[0]
         cont_transfer = (np.asarray(continuous_sizes.sample(rng, n),
                                     dtype=float) / cont_rate)
@@ -212,8 +213,8 @@ def simulate_discrete_queue(spec: DiskSpec,
         # queued discrete requests are latency-sensitive, so the server
         # does not hold them back to batch a sweep).
         while queue_arrival_round and elapsed < t:
-            disc_cyl, disc_rate = _sample_cylinders_rates(spec, rng,
-                                                          (1, 1))
+            disc_cyl, disc_rate = sample_cylinders_rates(spec, rng,
+                                                         (1, 1))
             size = float(np.asarray(discrete_sizes.sample(rng, 1))[0])
             seek = float(spec.seek_curve(abs(int(disc_cyl[0, 0]) - arm)))
             service = (seek + rng.uniform(0.0, spec.rot)

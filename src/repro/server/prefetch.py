@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.disk.presets import DiskSpec
+from repro.disk.sweepkernel import sample_cylinders_rates
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
-from repro.server.simulation import _sample_cylinders_rates, _validate
+from repro.server.simulation import _validate
 
 __all__ = ["PrefetchResult", "simulate_prefetch"]
 
@@ -109,7 +110,7 @@ def simulate_prefetch(spec: DiskSpec, size_dist: Distribution, n: int,
         k = owners.size
 
         # --- serve one SCAN sweep ---------------------------------------
-        cylinders, rates = _sample_cylinders_rates(spec, rng, (1, k))
+        cylinders, rates = sample_cylinders_rates(spec, rng, (1, k))
         cylinders, rates = cylinders[0], rates[0]
         sizes = np.asarray(size_dist.sample(rng, k), dtype=float)
         order = np.argsort(cylinders, kind="stable")

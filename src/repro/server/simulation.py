@@ -31,7 +31,6 @@ suite.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "RoundBatch",
-    "resolve_sim_chunk",
     "simulate_rounds",
     "estimate_p_late",
     "simulate_stream_glitches",
@@ -54,34 +52,11 @@ __all__ = [
 ]
 
 #: Rounds per vectorised chunk; bounds peak memory at roughly
-#: ``6 * chunk * N * 8`` bytes.
+#: ``6 * chunk * N * 8`` bytes.  :func:`simulate_rounds` reads it at
+#: call time, so a test can shrink it to exercise the multi-chunk path.
+#: A different chunk consumes the RNG stream in a different order:
+#: results stay statistically equivalent but are not bit-equal.
 DEFAULT_SIM_CHUNK = 65536
-
-#: Environment override for :data:`DEFAULT_SIM_CHUNK` (validated int
-#: >= 1).  Chunking changes how the RNG stream is consumed, so results
-#: under a non-default chunk are statistically equivalent but not
-#: bit-equal to the default -- see ``docs/PERFORMANCE.md``.  Its main
-#: use is making the multi-chunk code path cheap to exercise in tests
-#: (it is inherited by :mod:`repro.parallel` workers through the
-#: environment).
-SIM_CHUNK_ENV = "REPRO_SIM_CHUNK"
-
-
-def resolve_sim_chunk() -> int:
-    """The vectorised-chunk size: ``REPRO_SIM_CHUNK`` or the default."""
-    raw = os.environ.get(SIM_CHUNK_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_SIM_CHUNK
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SIM_CHUNK_ENV} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"{SIM_CHUNK_ENV} must be >= 1, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -138,21 +113,6 @@ def _validate(spec: DiskSpec, n: int, t: float, rounds: int) -> None:
         raise ConfigurationError("disk needs >= 2 cylinders")
 
 
-def _sample_cylinders_rates(spec: DiskSpec, rng: np.random.Generator,
-                            shape: tuple[int, int],
-                            placement=None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Cylinders and their zone transfer rates under a placement policy
-    (default: sector-uniform, eq. 3.2.1).
-
-    Thin alias of :func:`repro.disk.sweepkernel.sample_cylinders_rates`
-    (the machinery was factored there so the event-driven path can share
-    it); RNG consumption -- and therefore every seeded result -- is
-    unchanged.
-    """
-    return sample_cylinders_rates(spec, rng, shape, placement=placement)
-
-
 def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
                     t: float, rounds: int, rng: np.random.Generator,
                     initial_arm: int = 0, placement=None,
@@ -198,11 +158,10 @@ def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
     arm = float(initial_arm)
     direction_offset = 0
     done = 0
-    chunk_cap = resolve_sim_chunk()
     while done < rounds:
-        chunk = min(chunk_cap, rounds - done)
-        cylinders, rates = _sample_cylinders_rates(spec, rng, (chunk, n),
-                                                   placement=placement)
+        chunk = min(DEFAULT_SIM_CHUNK, rounds - done)
+        cylinders, rates = sample_cylinders_rates(spec, rng, (chunk, n),
+                                                  placement=placement)
         sizes = np.asarray(size_dist.sample(rng, (chunk, n)), dtype=float)
         if np.any(sizes <= 0):
             raise ConfigurationError(
@@ -263,6 +222,15 @@ class PLateEstimate:
     ci_low: float
     ci_high: float
 
+    @classmethod
+    def from_count(cls, n: int, t: float, rounds: int,
+                   late_rounds: int) -> "PLateEstimate":
+        """The estimate from ``late_rounds`` overruns in ``rounds``
+        simulated rounds."""
+        low, high = wilson_interval(late_rounds, rounds)
+        return cls(n=n, t=t, rounds=rounds, late_rounds=late_rounds,
+                   p_late=late_rounds / rounds, ci_low=low, ci_high=high)
+
 
 def estimate_p_late(spec: DiskSpec, size_dist: Distribution, n: int,
                     t: float, rounds: int = 20_000, seed: int = 0,
@@ -272,20 +240,42 @@ def estimate_p_late(spec: DiskSpec, size_dist: Distribution, n: int,
 
     ``jobs=None`` keeps the historical single-stream RNG layout
     (byte-identical to earlier releases for a given seed).  Any explicit
-    ``jobs`` value -- including 1 -- switches to the chunk-parallel
-    decomposition of :mod:`repro.parallel`, whose results are
-    bit-identical across worker counts but use per-chunk substreams.
+    ``jobs`` value -- including 1 -- runs the one-point grid of
+    :func:`repro.parallel.sweep_p_late_parallel`, whose chunked
+    decomposition is bit-identical across worker counts but uses
+    per-chunk substreams.
     """
     if jobs is not None:
-        from repro.parallel import estimate_p_late_parallel
-        return estimate_p_late_parallel(spec, size_dist, n, t,
-                                        rounds=rounds, seed=seed, jobs=jobs)
+        from repro.parallel import sweep_p_late_parallel
+        return sweep_p_late_parallel(spec, size_dist, [n], t, rounds,
+                                     seeds=[seed], jobs=jobs)[0]
     rng = np.random.default_rng(seed)
     batch = simulate_rounds(spec, size_dist, n, t, rounds, rng)
-    late = int(np.sum(batch.service_times > t))
-    low, high = wilson_interval(late, rounds)
-    return PLateEstimate(n=n, t=t, rounds=rounds, late_rounds=late,
-                         p_late=late / rounds, ci_low=low, ci_high=high)
+    return PLateEstimate.from_count(n, t, rounds,
+                                    int(np.sum(batch.service_times > t)))
+
+
+def _check_glitch_query(t: float, m: int, runs: int, g: int = 0) -> None:
+    """Reject a stream-glitch query before any run starts, so a pooled
+    query fails in the caller rather than inside its workers."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ConfigurationError(f"round length must be positive, got {t!r}")
+    if m < 1:
+        raise ConfigurationError(f"m must be >= 1, got {m!r}")
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
+    if not (0 <= g <= m):
+        raise ConfigurationError(f"g must be in [0, m], got {g!r}")
+
+
+def _glitch_row(task) -> np.ndarray:
+    """One stream lifetime of ``m`` rounds drawn from its own
+    ``SeedSequence``; returns per-stream glitch counts, shape ``(n,)``.
+    Module-level so :func:`repro.parallel.fan_out` can pickle it."""
+    spec, size_dist, n, t, m, seed_seq = task
+    batch = simulate_rounds(spec, size_dist, n, t, m,
+                            np.random.default_rng(seed_seq))
+    return np.sum(batch.glitches, axis=0)
 
 
 def simulate_stream_glitches(spec: DiskSpec, size_dist: Distribution,
@@ -299,24 +289,20 @@ def simulate_stream_glitches(spec: DiskSpec, size_dist: Distribution,
     same ``n`` streams active throughout (the paper's Table 2 setting:
     streams of M = 1200 rounds).
 
-    Runs already draw from per-run ``SeedSequence`` children, so the
-    ``jobs`` fan-out (via :mod:`repro.parallel`) is bit-identical to
-    this serial loop for every worker count.
+    Run ``i`` draws from ``SeedSequence(seed).spawn(runs)[i]``, so the
+    result depends only on ``seed``: ``jobs=None`` loops over the runs
+    in-process, and any ``jobs`` value fans them out through
+    :func:`repro.parallel.fan_out` with bit-identical counts.
     """
-    if jobs is not None:
-        from repro.parallel import simulate_stream_glitches_parallel
-        return simulate_stream_glitches_parallel(spec, size_dist, n, t,
-                                                 m, runs, seed=seed,
-                                                 jobs=jobs)
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
-    counts = np.empty((runs, n), dtype=np.int64)
-    root = np.random.SeedSequence(seed)
-    for run, child in enumerate(root.spawn(runs)):
-        rng = np.random.default_rng(child)
-        batch = simulate_rounds(spec, size_dist, n, t, m, rng)
-        counts[run] = np.sum(batch.glitches, axis=0)
-    return counts
+    _check_glitch_query(t, m, runs)
+    tasks = [(spec, size_dist, n, t, m, child)
+             for child in np.random.SeedSequence(seed).spawn(runs)]
+    if jobs is None:
+        rows = [_glitch_row(task) for task in tasks]
+    else:
+        from repro.parallel import fan_out, resolve_jobs
+        rows = fan_out(_glitch_row, tasks, resolve_jobs(jobs))
+    return np.stack(rows).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -334,6 +320,18 @@ class PErrorEstimate:
     ci_high: float
     mean_glitches: float
 
+    @classmethod
+    def from_counts(cls, n: int, t: float, m: int, g: int,
+                    counts: np.ndarray) -> "PErrorEstimate":
+        """The estimate from a ``(runs, n)`` per-stream glitch-count
+        matrix (:func:`simulate_stream_glitches`)."""
+        streams = counts.size
+        bad = int(np.sum(counts >= g))
+        low, high = wilson_interval(bad, streams)
+        return cls(n=n, t=t, m=m, g=g, streams=streams, bad_streams=bad,
+                   p_error=bad / streams, ci_low=low, ci_high=high,
+                   mean_glitches=float(np.mean(counts)))
+
 
 def estimate_p_error(spec: DiskSpec, size_dist: Distribution, n: int,
                      t: float, m: int, g: int, runs: int = 100,
@@ -343,14 +341,7 @@ def estimate_p_error(spec: DiskSpec, size_dist: Distribution, n: int,
     (Table 2's simulated column).  ``jobs`` fans the runs out over
     worker processes with bit-identical results (see
     :func:`simulate_stream_glitches`)."""
-    if not (0 <= g <= m):
-        raise ConfigurationError(f"g must be in [0, m], got {g!r}")
+    _check_glitch_query(t, m, runs, g)
     counts = simulate_stream_glitches(spec, size_dist, n, t, m, runs,
                                       seed, jobs=jobs)
-    streams = counts.size
-    bad = int(np.sum(counts >= g))
-    low, high = wilson_interval(bad, streams)
-    return PErrorEstimate(n=n, t=t, m=m, g=g, streams=streams,
-                          bad_streams=bad, p_error=bad / streams,
-                          ci_low=low, ci_high=high,
-                          mean_glitches=float(np.mean(counts)))
+    return PErrorEstimate.from_counts(n, t, m, g, counts)

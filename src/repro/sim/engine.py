@@ -27,15 +27,7 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 
-__all__ = ["Engine", "Event", "Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Engine", "Event", "Process"]
 
 
 class Event:
@@ -105,7 +97,7 @@ class Process(Event):
     """A running generator coroutine; also an event that fires when the
     generator finishes (value = generator return value)."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, engine: "Engine",
                  generator: Generator[Event, Any, Any]) -> None:
@@ -114,7 +106,6 @@ class Process(Event):
             raise SimulationError(
                 f"process body must be a generator, got {generator!r}")
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick off at the current time.
         bootstrap = Event(engine)
         bootstrap.callbacks.append(self._resume)
@@ -127,26 +118,8 @@ class Process(Event):
         """Whether the coroutine has not finished yet."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
-            # Detach from whatever we were waiting on.
-            if waiting.callbacks is not None and self._resume in waiting.callbacks:
-                waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        kick = Event(self.engine)
-        kick.callbacks.append(
-            lambda _ev, cause=cause: self._step_throw(Interrupt(cause)))
-        kick._triggered = True
-        kick._ok = True
-        self.engine._enqueue(kick)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step_send(event._value)
         else:
@@ -166,9 +139,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            raise SimulationError(
-                "process did not handle its Interrupt") from None
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
@@ -185,7 +155,6 @@ class Process(Event):
             self.engine._enqueue(kick)
         else:
             target.callbacks.append(self._resume)
-        self._waiting_on = target
 
 
 class Engine:

@@ -1,118 +1,15 @@
-"""Counted resources and item stores for the simulation kernel."""
+"""Item store for the simulation kernel: the FIFO hand-off queue that
+carries each round's batch to a disk's scheduler process
+(:mod:`repro.server.scheduler`)."""
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from typing import Any
 
-from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
 
-__all__ = ["Resource", "PriorityResource", "Store"]
-
-
-class Resource:
-    """A counted lock with FIFO waiters (like a disk arm or a buffer
-    slot pool).
-
-    ``request()`` returns an event that fires when a unit is granted;
-    the holder must call ``release()`` exactly once per grant.
-    """
-
-    def __init__(self, engine: Engine, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(
-                f"capacity must be >= 1, got {capacity!r}")
-        self.engine = engine
-        self.capacity = int(capacity)
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Units currently granted."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Units free right now."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        """Acquire one unit; the returned event fires on grant."""
-        event = self.engine.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one unit, waking the longest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)
-        else:
-            self._in_use -= 1
-
-    def __repr__(self) -> str:
-        return (f"Resource(capacity={self.capacity}, in_use={self._in_use}, "
-                f"queued={len(self._waiters)})")
-
-
-class PriorityResource(Resource):
-    """A counted lock whose waiters are served by priority.
-
-    Lower priority values are served first; ties break FIFO (a
-    monotonically increasing sequence number).  Continuous-data fetches
-    outranking discrete requests on a shared disk is the motivating
-    use (§6).
-    """
-
-    def __init__(self, engine: Engine, capacity: int = 1) -> None:
-        super().__init__(engine, capacity)
-        self._heap: list[tuple[float, int, Event]] = []
-        self._ticket = itertools.count()
-
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._heap)
-
-    def request(self, priority: float = 0.0) -> Event:
-        """Acquire one unit at the given priority (lower = sooner)."""
-        event = self.engine.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(self)
-        else:
-            heapq.heappush(self._heap,
-                           (priority, next(self._ticket), event))
-        return event
-
-    def release(self) -> None:
-        """Return one unit, waking the highest-priority waiter."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._heap:
-            _, _, waiter = heapq.heappop(self._heap)
-            waiter.succeed(self)
-        else:
-            self._in_use -= 1
-
-    def __repr__(self) -> str:
-        return (f"PriorityResource(capacity={self.capacity}, "
-                f"in_use={self._in_use}, queued={len(self._heap)})")
+__all__ = ["Store"]
 
 
 class Store:

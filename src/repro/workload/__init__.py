@@ -16,7 +16,6 @@ compressed-video data fragments [Ros95, KH95]".  This package provides
 
 from repro.workload.fragmentsize import (
     paper_fragment_sizes,
-    gamma_fragment_sizes,
     lognormal_fragment_sizes,
     truncated_pareto_fragment_sizes,
 )
@@ -33,7 +32,6 @@ from repro.workload.trace_io import (
 
 __all__ = [
     "paper_fragment_sizes",
-    "gamma_fragment_sizes",
     "lognormal_fragment_sizes",
     "truncated_pareto_fragment_sizes",
     "MpegGopModel",

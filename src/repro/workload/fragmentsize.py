@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "paper_fragment_sizes",
-    "gamma_fragment_sizes",
     "lognormal_fragment_sizes",
     "truncated_pareto_fragment_sizes",
 ]
@@ -34,11 +33,6 @@ def paper_fragment_sizes() -> Gamma:
     """The exact Table-1 law: Gamma with mean 200 KB and sd 100 KB
     (shape 4, i.e. moderately skewed -- cv = 0.5)."""
     return Gamma.from_mean_std(PAPER_MEAN_BYTES, PAPER_STD_BYTES)
-
-
-def gamma_fragment_sizes(mean: float, std: float) -> Gamma:
-    """Gamma fragment sizes with the given moments (bytes)."""
-    return Gamma.from_mean_std(mean, std)
 
 
 def lognormal_fragment_sizes(mean: float, std: float,

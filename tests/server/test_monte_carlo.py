@@ -68,11 +68,14 @@ class TestSimulateRounds:
         import repro.server.simulation as sim
         rng1 = np.random.default_rng(9)
         full = simulate_rounds(viking, paper_sizes, 20, 1.0, 2000, rng1)
-        monkeypatch.setenv(sim.SIM_CHUNK_ENV, "64")
+        monkeypatch.setattr(sim, "DEFAULT_SIM_CHUNK", 64)
         rng2 = np.random.default_rng(9)
         chunked = sim.simulate_rounds(viking, paper_sizes, 20, 1.0, 2000,
                                       rng2)
         assert chunked.service_times.shape == full.service_times.shape
+        # The patch took: 64-round chunks consume the stream differently.
+        assert not np.array_equal(chunked.service_times,
+                                  full.service_times)
         assert float(np.mean(chunked.service_times)) == pytest.approx(
             float(np.mean(full.service_times)), rel=0.01)
 

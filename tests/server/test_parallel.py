@@ -1,9 +1,12 @@
 """Determinism and equivalence tests for the parallel execution layer.
 
 The contract under test: for a fixed seed, every estimate is
-bit-identical no matter how many worker processes compute it, the
-stream-glitch fan-out matches the serial function exactly, a worker
-failure fails fast, and a killed worker is retried bit-identically.
+bit-identical no matter how many worker processes compute it (and
+equal to literals pinned before the single-point ``*_parallel`` entry
+points were folded into :mod:`repro.server.simulation`), the
+stream-glitch fan-out matches the serial loop exactly, ``jobs=None``
+never touches the pool, a worker failure fails fast, and a killed
+worker is retried bit-identically.
 """
 
 import os
@@ -14,24 +17,44 @@ import pytest
 
 from repro.distributions import Gamma
 from repro.errors import ConfigurationError, ParallelExecutionError
+from repro.obs.metrics import get_registry
 from repro.parallel import (
     DEFAULT_CHUNK_ROUNDS,
     JOBS_ENV,
     WORKER_RETRIES,
-    estimate_p_error_parallel,
-    estimate_p_late_parallel,
     fan_out,
     resolve_jobs,
     simulate_rounds_parallel,
-    simulate_stream_glitches_parallel,
     sweep_p_error_parallel,
     sweep_p_late_parallel,
 )
 from repro.server import simulation as sim
+from repro.server.simulation import PErrorEstimate, PLateEstimate
 
 ROUNDS = 5_000
 N = 28
 T = 1.0
+
+# Golden pins (Viking 2.1, Gamma(200 kB, 100 kB)), recorded at jobs 1
+# and 2 from the separate ``*_parallel`` single-point functions that
+# the ``jobs=`` paths of the estimates in repro.server.simulation
+# replaced.
+PINNED_P_LATE_28 = PLateEstimate(
+    n=28, t=1.0, rounds=5000, late_rounds=21, p_late=0.0042,
+    ci_low=0.0027487744103146723, ci_high=0.006412478838403972)
+PINNED_P_LATE_30 = PLateEstimate(
+    n=30, t=1.0, rounds=5000, late_rounds=200, p_late=0.04,
+    ci_low=0.034912144402327185, ci_high=0.04579414138712538)
+PINNED_P_ERROR = PErrorEstimate(
+    n=30, t=1.0, m=120, g=2, streams=180, bad_streams=3,
+    p_error=0.016666666666666666, ci_low=0.005684086620487441,
+    ci_high=0.047848228037071824, mean_glitches=0.2611111111111111)
+#: Non-zero cells of ``simulate_stream_glitches(..., 30, 1.0, 100, 5,
+#: seed=4)`` as ``{(run, stream): glitches}``.
+PINNED_GLITCHES_30 = {
+    (1, 15): 1, (1, 20): 1, (2, 9): 1, (2, 10): 1, (2, 11): 1,
+    (2, 25): 1, (3, 6): 1, (3, 8): 1, (3, 13): 1, (3, 20): 1,
+    (4, 0): 1, (4, 4): 1, (4, 8): 1, (4, 19): 1, (4, 20): 2}
 
 
 def _mul_ten(task):
@@ -177,14 +200,54 @@ class TestWorkerRetries:
         assert "retry budget" in str(info.value)
 
 
+class TestGoldenPins:
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
+    def test_p_late(self, viking, paper_sizes, jobs):
+        # jobs=None keeps the single-generator layout, which draws
+        # differently from the chunked one.
+        expected = (PLateEstimate.from_count(N, T, ROUNDS, 19)
+                    if jobs is None else PINNED_P_LATE_28)
+        assert sim.estimate_p_late(viking, paper_sizes, N, T,
+                                   rounds=ROUNDS, seed=7,
+                                   jobs=jobs) == expected
+
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
+    def test_p_error(self, viking, paper_sizes, jobs):
+        assert sim.estimate_p_error(viking, paper_sizes, 30, T, 120, 2,
+                                    runs=6, seed=3,
+                                    jobs=jobs) == PINNED_P_ERROR
+
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
+    def test_stream_glitches(self, viking, paper_sizes, jobs):
+        quiet = sim.simulate_stream_glitches(viking, paper_sizes, 12, T,
+                                             100, 5, seed=4, jobs=jobs)
+        assert quiet.dtype == np.int64
+        assert np.array_equal(quiet, np.zeros((5, 12), dtype=np.int64))
+        loaded = sim.simulate_stream_glitches(viking, paper_sizes, 30, T,
+                                              100, 5, seed=4, jobs=jobs)
+        expected = np.zeros((5, 30), dtype=np.int64)
+        for cell, count in PINNED_GLITCHES_30.items():
+            expected[cell] = count
+        assert np.array_equal(loaded, expected)
+
+    def test_jobs_none_starts_no_fan_out(self, viking, paper_sizes):
+        registry = get_registry()
+        counters = [registry.counter("parallel_fanouts_total"),
+                    registry.counter("parallel_tasks_total")]
+        before = [counter.value for counter in counters]
+        sim.estimate_p_late(viking, paper_sizes, 8, T, rounds=200)
+        sim.simulate_stream_glitches(viking, paper_sizes, 8, T, 20, 2)
+        sim.estimate_p_error(viking, paper_sizes, 8, T, 20, 1, runs=2)
+        assert [counter.value for counter in counters] == before
+
+
 class TestJobsInvariance:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_p_late_bit_identical(self, viking, paper_sizes, jobs):
-        base = estimate_p_late_parallel(viking, paper_sizes, N, T,
-                                        rounds=ROUNDS, seed=11, jobs=1)
-        other = estimate_p_late_parallel(viking, paper_sizes, N, T,
-                                         rounds=ROUNDS, seed=11,
-                                         jobs=jobs)
+        base = sim.estimate_p_late(viking, paper_sizes, N, T,
+                                   rounds=ROUNDS, seed=11, jobs=1)
+        other = sim.estimate_p_late(viking, paper_sizes, N, T,
+                                    rounds=ROUNDS, seed=11, jobs=jobs)
         assert base == other
 
     @pytest.mark.parametrize("jobs", [2, 3])
@@ -200,10 +263,10 @@ class TestJobsInvariance:
 
     def test_p_error_bit_identical(self, viking, paper_sizes):
         kw = dict(runs=8, seed=3)
-        base = estimate_p_error_parallel(viking, paper_sizes, 30, T,
-                                         120, 2, **kw, jobs=1)
-        par = estimate_p_error_parallel(viking, paper_sizes, 30, T,
-                                        120, 2, **kw, jobs=2)
+        base = sim.estimate_p_error(viking, paper_sizes, 30, T, 120, 2,
+                                    **kw, jobs=1)
+        par = sim.estimate_p_error(viking, paper_sizes, 30, T, 120, 2,
+                                   **kw, jobs=2)
         assert base == par
 
     def test_different_seeds_differ(self, viking, paper_sizes):
@@ -217,20 +280,24 @@ class TestJobsInvariance:
 class TestGlitchFanOutMatchesSerial:
     def test_bit_identical_to_serial_function(self, viking,
                                               paper_sizes):
-        serial = sim.simulate_stream_glitches(viking, paper_sizes, 12,
+        serial = sim.simulate_stream_glitches(viking, paper_sizes, 30,
                                               T, 40, 6, seed=9)
-        par = simulate_stream_glitches_parallel(viking, paper_sizes, 12,
-                                                T, 40, 6, seed=9,
-                                                jobs=2)
+        par = sim.simulate_stream_glitches(viking, paper_sizes, 30, T,
+                                           40, 6, seed=9, jobs=2)
+        assert serial.dtype == par.dtype == np.int64
         assert np.array_equal(serial, par)
 
     def test_simulation_module_delegates(self, viking, paper_sizes):
-        serial = sim.simulate_stream_glitches(viking, paper_sizes, 12,
-                                              T, 40, 6, seed=9)
-        via_jobs = sim.simulate_stream_glitches(viking, paper_sizes, 12,
-                                                T, 40, 6, seed=9,
-                                                jobs=2)
-        assert np.array_equal(serial, via_jobs)
+        # An explicit ``jobs`` hands one task per run to the shared
+        # fan-out instead of looping in-process.
+        registry = get_registry()
+        fanouts = registry.counter("parallel_fanouts_total")
+        tasks = registry.counter("parallel_tasks_total")
+        before = (fanouts.value, tasks.value)
+        sim.simulate_stream_glitches(viking, paper_sizes, 12, T, 40, 6,
+                                     seed=9, jobs=2)
+        assert (fanouts.value, tasks.value) == (before[0] + 1,
+                                                before[1] + 6)
 
     def test_estimate_p_error_delegates(self, viking, paper_sizes):
         serial = sim.estimate_p_error(viking, paper_sizes, 30, T, 120,
@@ -268,23 +335,18 @@ class TestChunking:
             simulate_rounds_parallel(viking, paper_sizes, 4, T, 100,
                                      jobs=1, chunk_rounds=0)
         with pytest.raises(ConfigurationError):
-            simulate_stream_glitches_parallel(viking, paper_sizes, 4,
-                                              T, 10, 0, jobs=1)
+            sim.simulate_stream_glitches(viking, paper_sizes, 4, T, 10,
+                                         0, jobs=1)
 
 
 class TestSweeps:
     def test_sweep_p_late_matches_per_point_estimates(self, viking,
                                                       paper_sizes):
-        ns = [6, 8, 10]
-        seeds = [1000 + n for n in ns]
-        swept = sweep_p_late_parallel(viking, paper_sizes, ns, T,
-                                      rounds=2000, seeds=seeds, jobs=2,
-                                      chunk_rounds=512)
-        for n, seed, est in zip(ns, seeds, swept):
-            standalone = estimate_p_late_parallel(
-                viking, paper_sizes, n, T, rounds=2000, seed=seed,
-                jobs=1, chunk_rounds=512)
-            assert est == standalone
+        # Each point draws exactly what a standalone estimate with its
+        # own seed drew before the fold (the golden pins).
+        swept = sweep_p_late_parallel(viking, paper_sizes, [N, 30], T,
+                                      rounds=ROUNDS, seeds=[7, 8], jobs=2)
+        assert swept == [PINNED_P_LATE_28, PINNED_P_LATE_30]
 
     def test_sweep_p_late_jobs_invariant(self, viking, paper_sizes):
         kw = dict(rounds=2000, seed=4, chunk_rounds=512)
@@ -313,31 +375,3 @@ class TestSweeps:
         with pytest.raises(ConfigurationError):
             sweep_p_error_parallel(viking, paper_sizes, [5], T, 10, 20,
                                    runs=2, jobs=1)
-
-
-class TestSimChunkEnv:
-    def test_env_threads_through_pool_workers(self, viking, paper_sizes,
-                                              monkeypatch):
-        # A custom vectorisation chunk changes the RNG consumption
-        # interleaving, so the contract is jobs-invariance UNDER the
-        # override, not equality with the default-chunk result.
-        monkeypatch.setenv(sim.SIM_CHUNK_ENV, "97")
-        kw = dict(seed=31, chunk_rounds=256)
-        one = simulate_rounds_parallel(viking, paper_sizes, 6, T, 1024,
-                                       jobs=1, **kw)
-        two = simulate_rounds_parallel(viking, paper_sizes, 6, T, 1024,
-                                       jobs=2, **kw)
-        assert np.array_equal(one.service_times, two.service_times)
-        assert np.array_equal(one.glitches, two.glitches)
-
-    def test_env_validation(self, viking, paper_sizes, monkeypatch):
-        monkeypatch.setenv(sim.SIM_CHUNK_ENV, "lots")
-        with pytest.raises(ConfigurationError):
-            sim.resolve_sim_chunk()
-        monkeypatch.setenv(sim.SIM_CHUNK_ENV, "0")
-        with pytest.raises(ConfigurationError):
-            sim.resolve_sim_chunk()
-        monkeypatch.setenv(sim.SIM_CHUNK_ENV, " ")
-        assert sim.resolve_sim_chunk() == sim.DEFAULT_SIM_CHUNK
-        monkeypatch.delenv(sim.SIM_CHUNK_ENV)
-        assert sim.resolve_sim_chunk() == sim.DEFAULT_SIM_CHUNK

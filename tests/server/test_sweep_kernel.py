@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import wilson_interval
-from repro.core.farm import failover_phase_batches
 from repro.disk.drive import DiskDrive
 from repro.disk.presets import quantum_viking_2_1
 from repro.disk.request import DiskRequest
@@ -229,27 +228,6 @@ class TestGoldenReports:
         first = self._shed_scenario(viking, sizes).report
         second = self._shed_scenario(viking, sizes).report
         assert first == second
-
-
-class TestFailoverPhaseBatches:
-    def test_shedding_populations(self):
-        healthy, degraded = failover_phase_batches(
-            4, 30, degraded_n_max=13, fail_disk=2, shedding=True)
-        assert healthy == (30, 30, 30, 30)
-        assert degraded == (13, 13, 0, 26)
-
-    def test_no_shedding_doubles_the_survivor(self):
-        _, degraded = failover_phase_batches(2, 30, shedding=False)
-        assert degraded == (0, 60)
-
-    def test_odd_farm_last_disk_has_no_survivor(self):
-        _, degraded = failover_phase_batches(3, 10, shedding=False,
-                                             fail_disk=2)
-        assert degraded == (10, 10, 0)
-
-    def test_shedding_requires_bound(self):
-        with pytest.raises(ConfigurationError):
-            failover_phase_batches(2, 30, shedding=True)
 
 
 class TestFarmKernel:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupt
+from repro.sim import Engine
 
 
 class TestTimeouts:
@@ -165,36 +165,6 @@ class TestProcesses:
         engine = Engine()
         with pytest.raises(SimulationError):
             engine.process(lambda: None)
-
-    def test_interrupt_wakes_sleeper(self):
-        engine = Engine()
-        log = []
-
-        def sleeper(engine):
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as stop:
-                log.append((engine.now, stop.cause))
-
-        def killer(engine, victim):
-            yield engine.timeout(5.0)
-            victim.interrupt("shutdown")
-
-        victim = engine.process(sleeper(engine))
-        engine.process(killer(engine, victim))
-        engine.run()
-        assert log == [(5.0, "shutdown")]
-
-    def test_interrupt_finished_process_is_error(self):
-        engine = Engine()
-
-        def quick(engine):
-            yield engine.timeout(0.0)
-
-        proc = engine.process(quick(engine))
-        engine.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
     def test_is_alive(self):
         engine = Engine()

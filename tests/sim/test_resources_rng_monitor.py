@@ -1,75 +1,8 @@
-"""Resource, Store, RngRegistry and Monitor tests."""
+"""Store and RngRegistry tests."""
 
 import numpy as np
-import pytest
 
-from repro.errors import SimulationError
-from repro.sim import (
-    Engine,
-    Monitor,
-    Resource,
-    RngRegistry,
-    Store,
-    TimeWeightedMonitor,
-)
-
-
-class TestResource:
-    def test_grants_up_to_capacity(self):
-        engine = Engine()
-        res = Resource(engine, capacity=2)
-        grants = []
-
-        def worker(engine, res, name, hold):
-            yield res.request()
-            grants.append((name, engine.now))
-            yield engine.timeout(hold)
-            res.release()
-
-        engine.process(worker(engine, res, "a", 5.0))
-        engine.process(worker(engine, res, "b", 5.0))
-        engine.process(worker(engine, res, "c", 1.0))
-        engine.run()
-        times = dict((name, when) for name, when in grants)
-        assert times["a"] == 0.0
-        assert times["b"] == 0.0
-        assert times["c"] == 5.0  # had to wait for a unit
-
-    def test_fifo_queueing(self):
-        engine = Engine()
-        res = Resource(engine, capacity=1)
-        order = []
-
-        def worker(engine, res, name):
-            yield res.request()
-            order.append(name)
-            yield engine.timeout(1.0)
-            res.release()
-
-        for name in ("first", "second", "third"):
-            engine.process(worker(engine, res, name))
-        engine.run()
-        assert order == ["first", "second", "third"]
-
-    def test_release_without_request(self):
-        engine = Engine()
-        res = Resource(engine)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_counters(self):
-        engine = Engine()
-        res = Resource(engine, capacity=3)
-        res.request()
-        res.request()
-        assert res.in_use == 2
-        assert res.available == 1
-        assert res.queue_length == 0
-
-    def test_bad_capacity(self):
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            Resource(engine, capacity=0)
+from repro.sim import Engine, RngRegistry, Store
 
 
 class TestStore:
@@ -144,102 +77,3 @@ class TestRngRegistry:
         reg = RngRegistry(seed=0)
         assert reg.stream("x") is reg.stream("x")
         assert "x" in reg
-
-
-class TestMonitor:
-    def test_welford_matches_numpy(self, rng):
-        data = rng.normal(3.0, 2.0, size=1000)
-        mon = Monitor("test")
-        for x in data:
-            mon.record(x)
-        assert mon.count == 1000
-        assert mon.mean == pytest.approx(float(np.mean(data)))
-        assert mon.var == pytest.approx(float(np.var(data, ddof=1)))
-        assert mon.min == pytest.approx(float(np.min(data)))
-        assert mon.max == pytest.approx(float(np.max(data)))
-
-    def test_quantiles_need_samples(self):
-        mon = Monitor("q", keep_samples=True)
-        for x in range(101):
-            mon.record(float(x))
-        assert mon.quantile(0.5) == pytest.approx(50.0)
-        bare = Monitor("bare")
-        bare.record(1.0)
-        with pytest.raises(SimulationError):
-            bare.quantile(0.5)
-
-    def test_empty_monitor_raises(self):
-        mon = Monitor("empty")
-        with pytest.raises(SimulationError):
-            mon.mean
-        mon.record(1.0)
-        with pytest.raises(SimulationError):
-            mon.var  # needs two samples
-
-    def test_empty_monitor_all_accessors_raise(self):
-        mon = Monitor("empty")
-        assert mon.count == 0
-        for accessor in ("mean", "var", "std", "min", "max"):
-            with pytest.raises(SimulationError):
-                getattr(mon, accessor)
-        assert repr(mon) == "Monitor('empty', empty)"
-
-    def test_single_sample(self):
-        mon = Monitor("one")
-        mon.record(3.25)
-        assert mon.count == 1
-        assert mon.mean == 3.25
-        assert mon.min == 3.25
-        assert mon.max == 3.25
-        with pytest.raises(SimulationError):
-            mon.var  # variance undefined for n = 1
-        with pytest.raises(SimulationError):
-            mon.std
-
-    def test_quantile_without_keep_samples_raises_even_empty(self):
-        mon = Monitor("bare")  # keep_samples=False is the default
-        with pytest.raises(SimulationError):
-            mon.quantile(0.5)
-
-    def test_quantile_with_keep_samples_but_no_data_raises(self):
-        mon = Monitor("kept", keep_samples=True)
-        with pytest.raises(SimulationError):
-            mon.quantile(0.5)
-        mon.record(2.0)
-        assert mon.quantile(0.5) == pytest.approx(2.0)
-
-
-class TestTimeWeightedMonitor:
-    def test_piecewise_average(self):
-        mon = TimeWeightedMonitor("queue", start_time=0.0, initial=0.0)
-        mon.record(2.0, 10.0)   # 0 for [0,2)
-        mon.record(6.0, 0.0)    # 10 for [2,6)
-        # average over [0,6] = (0*2 + 10*4)/6
-        assert mon.time_average(6.0) == pytest.approx(40.0 / 6.0)
-
-    def test_extends_to_now(self):
-        mon = TimeWeightedMonitor("x", initial=5.0)
-        assert mon.time_average(10.0) == pytest.approx(5.0)
-
-    def test_time_backwards_rejected(self):
-        mon = TimeWeightedMonitor("x")
-        mon.record(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            mon.record(4.0, 2.0)
-
-    def test_zero_elapsed_rejected(self):
-        mon = TimeWeightedMonitor("x")
-        with pytest.raises(SimulationError):
-            mon.time_average()
-
-    def test_time_average_now_before_last_rejected(self):
-        mon = TimeWeightedMonitor("x")
-        mon.record(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            mon.time_average(4.0)
-
-    def test_single_record_then_average_to_now(self):
-        mon = TimeWeightedMonitor("x", start_time=0.0, initial=2.0)
-        mon.record(4.0, 8.0)
-        # 2.0 over [0,4), then 8.0 over [4,8): (8 + 32) / 8.
-        assert mon.time_average(8.0) == pytest.approx(5.0)
