@@ -6,6 +6,8 @@ moments, simulated round times, and the admitted stream count when the
 analytic model is fed the policy's zone mix.
 """
 
+import zlib
+
 import numpy as np
 
 import _emit
@@ -38,8 +40,9 @@ def run_ablation(spec, sizes):
         model = RoundServiceTimeModel(
             seek_bound=lambda n: base.seek(n), rot=spec.rot,
             transfer=transfer.gamma_approximation())
+        seed = zlib.crc32(label.encode()) % 997
         batch = simulate_rounds(spec, sizes, N, T, 8000,
-                                np.random.default_rng(hash(label) % 997),
+                                np.random.default_rng(seed),
                                 placement=policy)
         rows.append((
             label,

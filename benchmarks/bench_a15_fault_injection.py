@@ -8,6 +8,8 @@ simulation, and reports the admission head-room a recal-prone drive
 must sacrifice.
 """
 
+import zlib
+
 import numpy as np
 
 import _emit
@@ -34,7 +36,7 @@ def run_sweep(spec, sizes):
                  else with_recalibration(base, prob, duration))
         batch = simulate_rounds(
             spec, sizes, N_PROBE, T, 20_000,
-            np.random.default_rng(hash(label) % 313),
+            np.random.default_rng(zlib.crc32(label.encode()) % 313),
             recal_prob=prob, recal_duration=duration)
         simulated = float(np.mean(batch.service_times > T))
         n_max = n_max_perror(GlitchModel(model, T), 1200, 12, 0.01)

@@ -8,8 +8,6 @@ Two farm-level results the paper's single-disk treatment leaves open:
    doubled-batch bound, roughly halving per-disk streams.
 """
 
-import os
-
 from repro.analysis import render_table
 from repro.core.farm import degraded_modes, plan_farm
 from repro.disk import (
@@ -20,10 +18,6 @@ from repro.disk import (
 
 T = 1.0
 M, G, EPS = 1200, 12, 0.01
-#: Worker processes for the per-disk N_max solves.  The plan is
-#: identical for any value (each disk's limit is independent), and the
-#: persistent bound cache deduplicates repeated drives across workers.
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def run_planning(sizes):
@@ -37,10 +31,10 @@ def run_planning(sizes):
         "3x AV + 1x Hawk": [fast] * 3 + [hawk],
         "2x Viking + 2x Hawk": [viking] * 2 + [hawk] * 2,
     }
-    rows = [(name, plan_farm(specs, sizes, T, M, G, EPS, jobs=JOBS))
+    rows = [(name, plan_farm(specs, sizes, T, M, G, EPS))
             for name, specs in farms.items()]
     drives = (viking, hawk, fast)
-    limits = degraded_modes(list(drives), sizes, T, 0.01, jobs=JOBS)
+    limits = degraded_modes(list(drives), sizes, T, 0.01)
     degraded = {spec.name: pair for spec, pair in zip(drives, limits)}
     return rows, degraded
 

@@ -784,8 +784,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     report = slo_report_from_records(
         records, epsilon=args.epsilon, delta=args.delta,
         m=args.m, g=args.g,
-        fast_window=args.fast_window, slow_window=args.slow_window,
-        page_burn=args.page_burn, warn_burn=args.warn_burn)
+        fast_window=args.fast_window, slow_window=args.slow_window)
     if not report["observed_rounds"]:
         print("error: trace has no per-round observations (need "
               "round_observe records from 'repro serve --trace' or "
@@ -836,7 +835,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             title="alert transitions"))
     if report["pages"]:
         print(f"verdict: PAGE -- the fast window burned >= "
-              f"{args.page_burn:g}x the sustainable epsilon rate",
+              f"{report['page_burn']:g}x the sustainable epsilon rate",
               file=sys.stderr)
         return 1
     print(f"verdict: {report['state']} -- budget burn within the "
@@ -856,22 +855,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from repro.control import ControllerConfig
     from repro.serve import (FaultFeed, RoundTicker, ServeConfig,
                              ServeDaemon, ServeHandle)
     from repro.server.faults import FaultSchedule
 
     sizes = Gamma.from_mean_std(args.mean_kb * 1000.0,
                                 args.std_kb * 1000.0)
-    control = None
-    if args.adaptive:
-        control = ControllerConfig(guard_band=args.guard_band)
     config = ServeConfig(spec=_spec(args), size_dist=sizes, t=args.t,
                          epsilon=args.epsilon, delta=args.delta,
                          m=args.m, g=args.g, disks=args.disks,
                          shed_mode=args.shed_mode,
-                         preload=not args.no_preload,
-                         adaptive=args.adaptive, control=control,
+                         adaptive=args.adaptive,
                          snapshot_path=args.snapshot_path,
                          probe_seed=args.probe_seed,
                          slo_fast_window=args.slo_fast_window,
@@ -1215,17 +1209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None,
                    help="serve for this many seconds then exit "
                    "(default: until interrupted)")
-    p.add_argument("--no-preload", action="store_true",
-                   help="skip bulk-loading the persistent bound cache "
-                   "at startup")
     p.add_argument("--adaptive", action="store_true",
                    help="run the closed-loop controller: retune "
                    "(N_max, t) online from observed round lateness "
                    "(docs/ROBUSTNESS.md)")
-    p.add_argument("--guard-band", type=float, default=0.25,
-                   help="fraction of the analytic bound reserved as "
-                   "early-warning margin before the controller "
-                   "tightens (default: 0.25)")
     p.add_argument("--round-interval", type=float, default=None,
                    metavar="SECONDS",
                    help="probe one service round this often "
@@ -1343,11 +1330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-window", type=int, default=256,
                    metavar="ROUNDS",
                    help="slow burn-rate window in rounds")
-    p.add_argument("--page-burn", type=float, default=6.0,
-                   help="fast-window burn rate that pages")
-    p.add_argument("--warn-burn", type=float, default=1.0,
-                   help="slow-window burn rate that warns (1.0 = "
-                   "exactly unsustainable)")
     p.set_defaults(func=_cmd_slo)
 
     return parser

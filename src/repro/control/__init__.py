@@ -17,8 +17,7 @@ admitting at full capacity.  This package closes the loop:
   plan -> verify -> apply state machine with guard band, hysteresis
   and cooldown, re-solving ``(N_max, t)`` through the persistent
   Chernoff cache via the scaling identity ``P[s*T >= t] = P[T >=
-  t/s]``, plus the :class:`~repro.control.controller.Watchdog` that
-  escalates to hard shedding;
+  t/s]``, plus a watchdog check that escalates to hard shedding;
 - :mod:`~repro.control.snapshot` -- versioned, fsync-atomic
   snapshot/restore of the daemon ledger + controller state with the
   unclean-restart ticket reserve (zero duplicate admissions after
@@ -28,8 +27,7 @@ See docs/ROBUSTNESS.md for the operational semantics and
 tests/control + tests/serve for the drift/chaos suite.
 """
 
-from repro.control.controller import (Controller, ControllerConfig,
-                                      Decision, Watchdog)
+from repro.control.controller import Controller, Decision
 from repro.control.probe import ServiceProbe
 from repro.control.snapshot import (SNAPSHOT_VERSION, TICKET_RESERVE,
                                     read_snapshot, write_snapshot)
@@ -40,9 +38,7 @@ __all__ = [
     "RoundObservation",
     "ServiceProbe",
     "Controller",
-    "ControllerConfig",
     "Decision",
-    "Watchdog",
     "SNAPSHOT_VERSION",
     "TICKET_RESERVE",
     "write_snapshot",

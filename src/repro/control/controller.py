@@ -36,12 +36,15 @@ apply
     relax needs a comfortable margin *and* a bigger solved limit *and*
     an expired cooldown).
 
-A :class:`Watchdog` sits outside the cycle: when the point estimate
-breaches ``watchdog_factor`` times the stamped bound it escalates to
+A watchdog check runs ahead of the cycle: when the point estimate
+breaches ``WATCHDOG_FACTOR`` times the stamped bound it escalates to
 hard shedding immediately -- dropping to the precomputed failure-proof
 limit without waiting for a solve or a cooldown, in ``drop`` mode, the
 way a human operator would yank load off a drive that is clearly
 dying.  The planner then refines from that safe point.
+
+The loop's tuning values are module constants (docs/ROBUSTNESS.md
+lists them); only the operating point and the model are per-instance.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.core.admission import n_max_perror
 from repro.core.glitch import GlitchModel
 from repro.errors import ConfigurationError
 
-__all__ = ["ControllerConfig", "Decision", "Watchdog", "Controller"]
+__all__ = ["Decision", "Controller"]
 
 #: Drift-scale quantisation step: estimates are snapped to the nearest
 #: power of 1.05 so the ``t_eff`` values hitting the bound cache form a
@@ -62,89 +65,40 @@ SCALE_STEP = 1.05
 
 _STATES = ("calibrating", "steady", "cooldown", "escalated")
 
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Knobs of the control loop (see docs/ROBUSTNESS.md)."""
-
-    #: Rounds kept by the telemetry window.
-    window_rounds: int = 48
-    #: Minimum probed disk-rounds before plan/relax may act.
-    min_disk_rounds: int = 24
-    #: Tighten when the Wilson lower bound exceeds
-    #: ``(1 - guard_band) * bound`` -- the fraction of the analytic
-    #: bound reserved as early-warning margin.
-    guard_band: float = 0.25
-    #: Relax only while the Wilson *upper* bound sits below
-    #: ``relax_margin * (1 - guard_band) * bound`` (hysteresis gap).
-    relax_margin: float = 0.5
-    #: Rounds after an apply during which the planner stays quiet.
-    cooldown_rounds: int = 32
-    #: Watchdog trips when the *point* overrun estimate exceeds
-    #: ``watchdog_factor * bound``.
-    watchdog_factor: float = 4.0
-    #: Disk-rounds of evidence the watchdog needs (kept small: it
-    #: exists to react faster than the planner).
-    watchdog_min_rounds: int = 8
-    #: Confidence of the Wilson intervals.
-    confidence: float = 0.95
-    #: Estimated drift scales are inflated by this factor before the
-    #: re-solve, so the plan lands inside the bound, not on its edge.
-    safety: float = 1.1
-    #: Round-length multipliers tried in order when the effective
-    #: budget ``t/s`` is too tight to admit even one stream.
-    t_ladder: tuple[float, ...] = (1.0, 1.5, 2.0)
-    #: Paused streams rejoin over this many rounds after a relax.
-    rejoin_rounds: int = 4
-    #: Disk-rounds of comfortable steady evidence used to calibrate
-    #: the service-ratio baseline.
-    calibration_rounds: int = 16
-    #: Drift-scale estimates are clamped to [1, max_scale].
-    max_scale: float = 32.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.guard_band < 1.0):
-            raise ConfigurationError(
-                f"guard_band must be in (0, 1), got {self.guard_band!r}")
-        if not (0.0 < self.relax_margin <= 1.0):
-            raise ConfigurationError(
-                f"relax_margin must be in (0, 1], "
-                f"got {self.relax_margin!r}")
-        if self.watchdog_factor <= 1.0:
-            raise ConfigurationError(
-                f"watchdog_factor must be > 1, "
-                f"got {self.watchdog_factor!r}")
-        if self.window_rounds < 1 or self.min_disk_rounds < 1:
-            raise ConfigurationError(
-                "window_rounds and min_disk_rounds must be >= 1")
-        if self.cooldown_rounds < 0 or self.rejoin_rounds < 1:
-            raise ConfigurationError(
-                "cooldown_rounds must be >= 0 and rejoin_rounds >= 1")
-        if not self.t_ladder or any(x < 1.0 for x in self.t_ladder):
-            raise ConfigurationError(
-                f"t_ladder must be non-empty multipliers >= 1, "
-                f"got {self.t_ladder!r}")
-        if self.safety < 1.0 or self.max_scale <= 1.0:
-            raise ConfigurationError(
-                "safety must be >= 1 and max_scale > 1")
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (stamped into every snapshot)."""
-        return {
-            "window_rounds": self.window_rounds,
-            "min_disk_rounds": self.min_disk_rounds,
-            "guard_band": self.guard_band,
-            "relax_margin": self.relax_margin,
-            "cooldown_rounds": self.cooldown_rounds,
-            "watchdog_factor": self.watchdog_factor,
-            "watchdog_min_rounds": self.watchdog_min_rounds,
-            "confidence": self.confidence,
-            "safety": self.safety,
-            "t_ladder": list(self.t_ladder),
-            "rejoin_rounds": self.rejoin_rounds,
-            "calibration_rounds": self.calibration_rounds,
-            "max_scale": self.max_scale,
-        }
+#: Rounds kept by the telemetry window.
+WINDOW_ROUNDS = 48
+#: Minimum probed disk-rounds before plan/relax may act.
+MIN_DISK_ROUNDS = 24
+#: Tighten when the Wilson lower bound exceeds
+#: ``(1 - GUARD_BAND) * bound`` -- the fraction of the analytic bound
+#: reserved as early-warning margin.
+GUARD_BAND = 0.25
+#: Relax only while the Wilson *upper* bound sits below
+#: ``RELAX_MARGIN * (1 - GUARD_BAND) * bound`` (hysteresis gap).
+RELAX_MARGIN = 0.5
+#: Rounds after an apply during which the planner stays quiet.
+COOLDOWN_ROUNDS = 32
+#: The watchdog trips when the *point* overrun estimate exceeds
+#: ``WATCHDOG_FACTOR * bound``.
+WATCHDOG_FACTOR = 4.0
+#: Disk-rounds of evidence the watchdog needs (kept small: it exists
+#: to react faster than the planner).
+WATCHDOG_MIN_ROUNDS = 8
+#: Confidence of the Wilson intervals.
+CONFIDENCE = 0.95
+#: Estimated drift scales are inflated by this factor before the
+#: re-solve, so the plan lands inside the bound, not on its edge.
+SAFETY = 1.1
+#: Round-length multipliers tried in order when the effective budget
+#: ``t/s`` is too tight to admit even one stream.
+T_LADDER = (1.0, 1.5, 2.0)
+#: Paused streams rejoin over this many rounds after a relax.
+REJOIN_ROUNDS = 4
+#: Disk-rounds of comfortable steady evidence used to calibrate the
+#: service-ratio baseline.
+CALIBRATION_ROUNDS = 16
+#: Drift-scale estimates are clamped to [1, MAX_SCALE].
+MAX_SCALE = 32.0
 
 
 @dataclass(frozen=True)
@@ -166,39 +120,15 @@ class Decision:
                 "reason": self.reason}
 
 
-class Watchdog:
-    """Last-resort guard over the observed overrun rate.
-
-    Trips on the *point* estimate (no Wilson smoothing -- speed over
-    certainty) as soon as ``watchdog_min_rounds`` disk-rounds show an
-    overrun rate beyond ``watchdog_factor`` times the stamped bound.
-    """
-
-    def __init__(self, factor: float, min_disk_rounds: int) -> None:
-        self.factor = float(factor)
-        self.min_disk_rounds = int(min_disk_rounds)
-        self.trips = 0
-
-    def breached(self, window) -> bool:
-        """True when the window's point overrun rate is past the
-        escalation threshold (with enough evidence to say so)."""
-        if window.disk_rounds < self.min_disk_rounds:
-            return False
-        reference = window.bound
-        if reference <= 0.0:
-            return False
-        return window.observed_p_late > self.factor * reference
-
-
-def quantise_scale(scale: float, max_scale: float) -> float:
+def quantise_scale(scale: float) -> float:
     """Snap a drift-scale estimate onto the ``SCALE_STEP`` grid,
-    clamped to ``[1, max_scale]`` (speeds faster than nominal keep the
+    clamped to ``[1, MAX_SCALE]`` (speeds faster than nominal keep the
     proven static point; we never loosen beyond it)."""
-    scale = min(max(float(scale), 1.0), float(max_scale))
+    scale = min(max(float(scale), 1.0), MAX_SCALE)
     if scale <= 1.0:
         return 1.0
     steps = round(math.log(scale) / math.log(SCALE_STEP))
-    return min(max(SCALE_STEP ** steps, 1.0), float(max_scale))
+    return min(max(SCALE_STEP ** steps, 1.0), MAX_SCALE)
 
 
 @dataclass
@@ -216,12 +146,10 @@ class Controller:
     :class:`Decision` itself, then confirms with :meth:`committed`.
     """
 
-    def __init__(self, config: ControllerConfig,
-                 service_model, t: float, *, delta: float,
+    def __init__(self, service_model, t: float, *, delta: float,
                  epsilon: float, m: int, g: int,
                  healthy_n_max: int, fallback_n_max: int,
                  n_cap: int | None = None) -> None:
-        self.config = config
         self.model = service_model
         self.t = float(t)
         self.delta = float(delta)
@@ -233,8 +161,8 @@ class Controller:
         #: without waiting for a solve.
         self.fallback_n_max = int(fallback_n_max)
         self.n_cap = int(n_cap or max(4 * healthy_n_max, 64))
-        self.watchdog = Watchdog(config.watchdog_factor,
-                                 config.watchdog_min_rounds)
+        #: Escalations to the fallback limit (see :meth:`step`).
+        self.watchdog_trips = 0
 
         self.state = "calibrating"
         self.cooldown_left = 0
@@ -259,8 +187,7 @@ class Controller:
         service ratio, inflated by the safety factor."""
         baseline = self.calibration if self.calibration else 1.0
         raw = window.service_ratio / max(baseline, 1e-9)
-        return quantise_scale(raw * self.config.safety,
-                              self.config.max_scale)
+        return quantise_scale(raw * SAFETY)
 
     def solve(self, scale: float) -> _Plan:
         """Re-solve the admission point for drift scale ``scale``.
@@ -273,7 +200,7 @@ class Controller:
         evaluations flow through the persistent cache keyed on
         ``(fingerprint, n, t_eff)``.
         """
-        for t_mult in self.config.t_ladder:
+        for t_mult in T_LADDER:
             t_eff = self.t * float(t_mult) / float(scale)
             glitch = GlitchModel(self.model, t_eff)
             n = n_max_perror(glitch, self.m, self.g, self.epsilon,
@@ -282,20 +209,19 @@ class Controller:
             if n >= 1:
                 return _Plan(n, float(t_mult),
                              float(glitch.p_error(n, self.m, self.g)))
-        return _Plan(0, float(self.config.t_ladder[-1]), None)
+        return _Plan(0, float(T_LADDER[-1]), None)
 
     # -- the cycle -----------------------------------------------------
     def step(self, window) -> Decision | None:
         """One observe/plan/verify pass; returns a verified
         :class:`Decision` for the daemon to apply, or ``None``."""
-        cfg = self.config
         if self.cooldown_left > 0:
             self.cooldown_left -= 1
             if self.cooldown_left == 0 and self.state == "cooldown":
                 self.state = "steady"
 
         point = window.observed_p_late
-        lower, upper = window.p_late_interval(cfg.confidence)
+        lower, upper = window.p_late_interval(CONFIDENCE)
         if window.late_disk_rounds == 0:
             # A zero-late window is zero evidence: the Wilson centre
             # leaves ~1e-18 of floating-point residue in the lower
@@ -303,12 +229,16 @@ class Controller:
             # tight operating points and trigger phantom tightens.
             lower = 0.0
         reference = window.bound
-        guard = (1.0 - cfg.guard_band) * reference
+        guard = (1.0 - GUARD_BAND) * reference
 
-        # Watchdog first: it outranks calibration and cooldown.
-        if (self.watchdog.breached(window)
+        # Watchdog first: it outranks calibration and cooldown.  It
+        # reads the *point* estimate (no Wilson smoothing -- speed
+        # over certainty) once a few disk-rounds are in.
+        if (window.disk_rounds >= WATCHDOG_MIN_ROUNDS
+                and reference > 0.0
+                and point > WATCHDOG_FACTOR * reference
                 and self.n_max > self.fallback_n_max):
-            self.watchdog.trips += 1
+            self.watchdog_trips += 1
             self.state = "escalated"
             if self.calibration is None:
                 self.calibration = 1.0
@@ -319,11 +249,11 @@ class Controller:
                 scale=self.estimate_scale(window),
                 predicted_p_error=None,
                 reason=f"observed p_late {point:.4f} > "
-                       f"{cfg.watchdog_factor:g} x bound "
+                       f"{WATCHDOG_FACTOR:g} x bound "
                        f"{reference:.4f}")
 
         if self.state == "calibrating":
-            if window.disk_rounds < cfg.calibration_rounds:
+            if window.disk_rounds < CALIBRATION_ROUNDS:
                 return None
             if point <= guard or reference <= 0.0:
                 # Comfortable steady evidence: freeze the baseline.
@@ -340,7 +270,7 @@ class Controller:
 
         if self.cooldown_left > 0:
             return None
-        if window.disk_rounds < cfg.min_disk_rounds:
+        if window.disk_rounds < MIN_DISK_ROUNDS:
             return None
 
         if reference > 0.0 and lower > guard:
@@ -374,7 +304,7 @@ class Controller:
         # form of comfort when the stamped bound is ~1e-20 and no
         # finite sample can push the Wilson upper bound below it).
         comfortable = (window.late_disk_rounds == 0
-                       or upper < cfg.relax_margin * guard)
+                       or upper < RELAX_MARGIN * guard)
         if relaxable and comfortable:
             scale = self.estimate_scale(window)
             plan = self.solve(scale)
@@ -400,9 +330,8 @@ class Controller:
         :meth:`step` reasons over, packaged as flat span attributes so
         every ``control.plan`` span carries *why* the controller did
         (or did not) act."""
-        cfg = self.config
         point = window.observed_p_late
-        lower, upper = window.p_late_interval(cfg.confidence)
+        lower, upper = window.p_late_interval(CONFIDENCE)
         if window.late_disk_rounds == 0:
             lower = 0.0  # zero-late window: zero evidence (see step)
         reference = window.bound
@@ -414,8 +343,8 @@ class Controller:
             "p_late_lower": lower,
             "p_late_upper": upper,
             "bound": reference,
-            "guard": (1.0 - cfg.guard_band) * reference,
-            "guard_band": cfg.guard_band,
+            "guard": (1.0 - GUARD_BAND) * reference,
+            "guard_band": GUARD_BAND,
             "service_ratio": window.service_ratio,
             "state": self.state,
             "n_max": self.n_max,
@@ -435,7 +364,7 @@ class Controller:
         self.t_mult = float(decision.t_mult)
         self.retunes += 1
         self.last_decision = decision
-        self.cooldown_left = self.config.cooldown_rounds
+        self.cooldown_left = COOLDOWN_ROUNDS
         if decision.kind != "watchdog":
             self.state = ("cooldown" if self.cooldown_left
                           else "steady")
@@ -452,7 +381,7 @@ class Controller:
             "state": self.state,
             "cooldown_left": self.cooldown_left,
             "retunes": self.retunes,
-            "watchdog_trips": self.watchdog.trips,
+            "watchdog_trips": self.watchdog_trips,
             "calibration": self.calibration,
             "n_max": self.n_max,
             "t_mult": self.t_mult,
@@ -470,7 +399,7 @@ class Controller:
         self.state = state
         self.cooldown_left = int(data.get("cooldown_left", 0))
         self.retunes = int(data.get("retunes", 0))
-        self.watchdog.trips = int(data.get("watchdog_trips", 0))
+        self.watchdog_trips = int(data.get("watchdog_trips", 0))
         calibration = data.get("calibration")
         self.calibration = (float(calibration)
                             if calibration is not None else None)
@@ -491,7 +420,6 @@ class Controller:
     def summary(self) -> dict:
         """JSON view for ``/control``."""
         out = self.to_dict()
-        out["config"] = self.config.to_dict()
         out["healthy_n_max"] = self.healthy_n_max
         out["fallback_n_max"] = self.fallback_n_max
         out["applied_epoch"] = self.applied_epoch

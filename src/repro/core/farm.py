@@ -19,12 +19,10 @@ round batch and the failed disk's (classic RAID-1 read degradation:
 double load on the survivor).  A server that must keep its guarantee
 *through* a single failure admits against the doubled-batch bound.
 
-Both scans accept ``jobs``: the per-disk ``N_max`` solves are
-independent Chernoff-optimisation pipelines, so a heterogeneous plan
-fans them out over the :mod:`repro.parallel` worker pool.  Every
-worker's solves land in the persistent bound cache (:mod:`repro.cache`),
-so a replanned farm -- or the same plan after a process restart --
-re-answers from disk instead of re-optimising.
+Both scans solve disk by disk in-process: repeated drives of a farm
+are answered by the in-memory bound cache (:mod:`repro.cache`), which
+made the serial loop about 3.7x faster than a per-call worker pool on
+bench A18's workload (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -90,55 +88,24 @@ class FarmPlan:
         return sum(self.per_disk_n_max) - self.n_max_total
 
 
-def _fan_out_specs(worker, tasks, jobs):
-    """Run per-disk solver tasks serially or on the shared pool.
-
-    Imported lazily: :mod:`repro.parallel` pulls in the simulation
-    stack, which this analytic module must not require at import time.
-    """
-    if jobs is None or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    from repro.parallel import fan_out, resolve_jobs
-    return fan_out(worker, tasks, resolve_jobs(jobs))
-
-
-def _per_disk_perror_limit(task) -> int:
-    """Worker: the eq. (3.3.6) limit of one disk (module-level so it
-    pickles into pool workers)."""
-    spec, size_dist, t, m, g, epsilon, multizone = task
-    model = RoundServiceTimeModel.for_disk(spec, size_dist,
-                                           multizone=multizone)
-    glitch = GlitchModel(model, t)
-    return n_max_perror(glitch, m, g, epsilon)
-
-
-def _per_disk_degraded_limits(task) -> tuple[int, int]:
-    """Worker: ``(healthy, failure_proof)`` limits of one disk."""
-    spec, size_dist, t, delta, multizone = task
-    return degraded_mode_n_max(spec, size_dist, t, delta,
-                               multizone=multizone)
-
-
 def plan_farm(specs: list[DiskSpec], size_dist: Distribution, t: float,
               m: int, g: int, epsilon: float,
-              multizone: bool = True,
-              jobs: int | None = None) -> FarmPlan:
+              multizone: bool = True) -> FarmPlan:
     """Admission plan for a striped farm of the given disks.
 
     Every disk gets its own §3 model; the farm admits
     ``D * min_i n_max_i`` because striping loads all disks equally.
-    ``jobs`` fans the per-disk solves out over worker processes
-    (``None`` keeps the serial scan); the result is identical either
-    way -- each limit depends only on its own disk.
     """
     if not specs:
         raise ConfigurationError("need at least one disk")
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError(
             f"epsilon must be in (0, 1), got {epsilon!r}")
-    tasks = [(spec, size_dist, t, m, g, epsilon, multizone)
-             for spec in specs]
-    limits = _fan_out_specs(_per_disk_perror_limit, tasks, jobs)
+    limits = []
+    for spec in specs:
+        model = RoundServiceTimeModel.for_disk(spec, size_dist,
+                                               multizone=multizone)
+        limits.append(n_max_perror(GlitchModel(model, t), m, g, epsilon))
     binding = min(range(len(limits)), key=lambda i: limits[i])
     return FarmPlan(per_disk_n_max=tuple(limits), binding_disk=binding,
                     n_max_total=len(specs) * limits[binding])
@@ -176,14 +143,13 @@ def degraded_mode_n_max(spec: DiskSpec, size_dist: Distribution,
 
 
 def degraded_modes(specs: list[DiskSpec], size_dist: Distribution,
-                   t: float, delta: float, multizone: bool = True,
-                   jobs: int | None = None) -> list[tuple[int, int]]:
-    """:func:`degraded_mode_n_max` for every disk of a farm, optionally
-    fanned out over the worker pool (one task per disk)."""
+                   t: float, delta: float,
+                   multizone: bool = True) -> list[tuple[int, int]]:
+    """:func:`degraded_mode_n_max` for every disk of a farm."""
     if not specs:
         raise ConfigurationError("need at least one disk")
     if not (0.0 < delta < 1.0):
         raise ConfigurationError(
             f"delta must be in (0, 1), got {delta!r}")
-    tasks = [(spec, size_dist, t, delta, multizone) for spec in specs]
-    return _fan_out_specs(_per_disk_degraded_limits, tasks, jobs)
+    return [degraded_mode_n_max(spec, size_dist, t, delta,
+                                multizone=multizone) for spec in specs]

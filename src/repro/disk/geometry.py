@@ -98,11 +98,6 @@ class DiskGeometry:
             raise GeometryError(f"zone {zone} out of range [0, {self.zones})")
         return int(self._bounds[zone]), int(self._bounds[zone + 1])
 
-    def tracks_in_zone(self, zone: int) -> int:
-        """Number of tracks (cylinders x surfaces) in a zone."""
-        start, stop = self.cylinder_range_of_zone(zone)
-        return (stop - start) * self.surfaces
-
     @property
     def total_capacity(self) -> float:
         """Total formatted capacity in bytes."""

@@ -98,15 +98,8 @@ def lumped_seek_time(drive: DiskDrive, requests: Sequence[DiskRequest],
         Whether to charge the seek from the arm's current position to the
         first request of the sweep.
     """
-    ordered = order_scan(requests, ascending=ascending)
-    if not ordered:
-        return 0.0
-    cylinders = np.array([r.cylinder for r in ordered], dtype=float)
-    distances = np.abs(np.diff(cylinders))
-    total = float(np.sum(drive.seek_curve(distances))) if distances.size else 0.0
-    if include_initial:
-        total += float(drive.seek_curve(abs(cylinders[0] - drive.arm_cylinder)))
-    return total
+    return batch_seek_time(drive, order_scan(requests, ascending),
+                           include_initial)
 
 
 def sweep_service(drive: DiskDrive, requests: Sequence[DiskRequest],

@@ -20,11 +20,11 @@ because rounds are the paper's unit of time:
   budget is being consumed exactly as fast as ε allows; 2.0 means the
   budget for the window was spent twice over;
 - the **fast window** (default 32 rounds) catches storms: burn at or
-  above ``page_burn`` there means the guarantee is being torn through
-  right now -> state ``page``;
+  above ``PAGE_BURN`` (6.0) there means the guarantee is being torn
+  through right now -> state ``page``;
 - the **slow window** (default 256 rounds) catches leaks: burn at or
-  above ``warn_burn`` (default 1.0, the sustainability threshold)
-  means the budget will not last the stream -> state ``warn``.
+  above ``WARN_BURN`` (1.0, the sustainability threshold) means the
+  budget will not last the stream -> state ``warn``.
 
 Rounds probed while a disk is failed are charged against the
 ``degraded_budget`` (the δ round-lateness tolerance of the
@@ -59,9 +59,9 @@ DEFAULT_FAST_WINDOW = 32
 DEFAULT_SLOW_WINDOW = 256
 #: Fast-window burn that pages: the budget is being spent this many
 #: times faster than sustainable.
-DEFAULT_PAGE_BURN = 6.0
+PAGE_BURN = 6.0
 #: Slow-window burn that warns; 1.0 = exactly unsustainable.
-DEFAULT_WARN_BURN = 1.0
+WARN_BURN = 1.0
 
 
 def slot_glitch_budget(m: int, g: int, epsilon: float) -> float:
@@ -97,9 +97,7 @@ class SLOTracker:
     def __init__(self, budget: float, *,
                  degraded_budget: float | None = None,
                  fast_window: int = DEFAULT_FAST_WINDOW,
-                 slow_window: int = DEFAULT_SLOW_WINDOW,
-                 page_burn: float = DEFAULT_PAGE_BURN,
-                 warn_burn: float = DEFAULT_WARN_BURN) -> None:
+                 slow_window: int = DEFAULT_SLOW_WINDOW) -> None:
         if not (0.0 < budget <= 1.0):
             raise ConfigurationError(
                 f"budget must be in (0, 1], got {budget!r}")
@@ -112,18 +110,12 @@ class SLOTracker:
             raise ConfigurationError(
                 f"need 1 <= fast_window <= slow_window, got "
                 f"{fast_window!r}/{slow_window!r}")
-        if warn_burn <= 0.0 or page_burn < warn_burn:
-            raise ConfigurationError(
-                f"need 0 < warn_burn <= page_burn, got "
-                f"{warn_burn!r}/{page_burn!r}")
         self.budget = float(budget)
         self.degraded_budget = (float(degraded_budget)
                                 if degraded_budget is not None
                                 else float(budget))
         self.fast_window = int(fast_window)
         self.slow_window = int(slow_window)
-        self.page_burn = float(page_burn)
-        self.warn_burn = float(warn_burn)
         #: (bad, total, allowed) per observed round, newest last.
         self._entries: deque = deque(maxlen=self.slow_window)
         self._lock = threading.Lock()
@@ -166,9 +158,9 @@ class SLOTracker:
                 self.last_round = int(round_index)
             fast = self._burn_locked(self.fast_window)
             slow = self._burn_locked(self.slow_window)
-            if fast >= self.page_burn:
+            if fast >= PAGE_BURN:
                 state = "page"
-            elif slow >= self.warn_burn:
+            elif slow >= WARN_BURN:
                 state = "warn"
             else:
                 state = "ok"
@@ -238,8 +230,8 @@ class SLOTracker:
                 "degraded_budget_per_slot": self.degraded_budget,
                 "fast_window_rounds": self.fast_window,
                 "slow_window_rounds": self.slow_window,
-                "page_burn": self.page_burn,
-                "warn_burn": self.warn_burn,
+                "page_burn": PAGE_BURN,
+                "warn_burn": WARN_BURN,
                 "fast_burn": fast if math.isfinite(fast) else None,
                 "slow_burn": slow if math.isfinite(slow) else None,
                 "rounds": self.rounds,
@@ -311,8 +303,6 @@ class SLOTracker:
                 "degraded_budget": self.degraded_budget,
                 "fast_window": self.fast_window,
                 "slow_window": self.slow_window,
-                "page_burn": self.page_burn,
-                "warn_burn": self.warn_burn,
                 "entries": [list(entry) for entry in self._entries],
                 "state": self.state,
                 "rounds": self.rounds,
@@ -329,6 +319,9 @@ class SLOTracker:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SLOTracker":
+        """Inverse of :meth:`to_dict`.  Older snapshots also store
+        ``page_burn``/``warn_burn``; they are ignored, because the
+        thresholds are the module constants."""
         tracker = cls(
             float(data["budget"]),
             degraded_budget=float(data.get("degraded_budget",
@@ -336,9 +329,7 @@ class SLOTracker:
             fast_window=int(data.get("fast_window",
                                      DEFAULT_FAST_WINDOW)),
             slow_window=int(data.get("slow_window",
-                                     DEFAULT_SLOW_WINDOW)),
-            page_burn=float(data.get("page_burn", DEFAULT_PAGE_BURN)),
-            warn_burn=float(data.get("warn_burn", DEFAULT_WARN_BURN)))
+                                     DEFAULT_SLOW_WINDOW)))
         state = str(data.get("state", "ok"))
         if state not in STATES:
             raise ConfigurationError(
@@ -408,9 +399,7 @@ def slo_report_from_records(
         delta: float | None = None, m: int | None = None,
         g: int | None = None,
         fast_window: int = DEFAULT_FAST_WINDOW,
-        slow_window: int = DEFAULT_SLOW_WINDOW,
-        page_burn: float = DEFAULT_PAGE_BURN,
-        warn_burn: float = DEFAULT_WARN_BURN) -> dict:
+        slow_window: int = DEFAULT_SLOW_WINDOW) -> dict:
     """Replay a recorded trace through a fresh :class:`SLOTracker`.
 
     Stream-shape parameters fall back to whatever the ``run_start``
@@ -438,8 +427,7 @@ def slo_report_from_records(
     budget = slot_glitch_budget(m, g, epsilon)
     tracker = SLOTracker(budget, degraded_budget=delta,
                          fast_window=fast_window,
-                         slow_window=slow_window,
-                         page_burn=page_burn, warn_burn=warn_burn)
+                         slow_window=slow_window)
     rounds = _rounds_from_records(records)
     transitions: list[dict] = []
     max_fast = 0.0

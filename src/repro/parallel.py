@@ -46,8 +46,8 @@ tests assert against.
 
 The chunked round decomposition is *statistically* equivalent to one
 long serial simulation but not bit-equal to it: the disk arm's
-carry-over position resets at chunk boundaries (each chunk starts at
-``initial_arm``), perturbing one repositioning seek per
+carry-over position resets at chunk boundaries (each chunk starts
+with the arm at cylinder 0), perturbing one repositioning seek per
 ``chunk_rounds`` rounds -- the same order of approximation the serial
 path already accepts at its internal block boundaries (see
 ``docs/SIMULATOR.md``).
@@ -253,13 +253,9 @@ def fan_out(worker, tasks, jobs: int) -> list:
 
 def _run_round_chunk(task) -> RoundBatch:
     """Round worker: simulate one block, return the batch."""
-    (spec, size_dist, n, t, rounds, seed_seq, initial_arm, placement,
-     recal_prob, recal_duration) = task
+    spec, size_dist, n, t, rounds, seed_seq = task
     rng = np.random.default_rng(seed_seq)
-    return simulate_rounds(spec, size_dist, n, t, rounds, rng,
-                           initial_arm=initial_arm, placement=placement,
-                           recal_prob=recal_prob,
-                           recal_duration=recal_duration)
+    return simulate_rounds(spec, size_dist, n, t, rounds, rng)
 
 
 def _run_sweep_late_chunk(task) -> tuple[int, int]:
@@ -283,23 +279,20 @@ def _run_sweep_glitch_run(task) -> tuple[int, np.ndarray]:
 def simulate_rounds_parallel(spec: DiskSpec, size_dist: Distribution,
                              n: int, t: float, rounds: int, seed: int = 0,
                              jobs: int | None = None,
-                             chunk_rounds: int = DEFAULT_CHUNK_ROUNDS,
-                             initial_arm: int = 0, placement=None,
-                             recal_prob: float = 0.0,
-                             recal_duration: float = 0.0) -> RoundBatch:
+                             chunk_rounds: int = DEFAULT_CHUNK_ROUNDS
+                             ) -> RoundBatch:
     """Chunk-parallel :func:`repro.server.simulation.simulate_rounds`.
 
     ``rounds`` is split into ``chunk_rounds`` blocks; block ``i`` draws
     from ``SeedSequence(seed).spawn(...)[i]`` and starts its sweep at
-    ``initial_arm``.  Bit-identical output for any ``jobs`` value.
+    cylinder 0.  Bit-identical output for any ``jobs`` value.
     """
     jobs = resolve_jobs(jobs)
     sizes = _chunk_sizes(rounds, chunk_rounds)
     if not sizes:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds!r}")
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    tasks = [(spec, size_dist, n, t, block, child, initial_arm,
-              placement, recal_prob, recal_duration)
+    tasks = [(spec, size_dist, n, t, block, child)
              for block, child in zip(sizes, children)]
     return _concat_batches(fan_out(_run_round_chunk, tasks, jobs))
 

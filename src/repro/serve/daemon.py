@@ -64,9 +64,9 @@ from itertools import chain
 from pathlib import Path
 
 from repro.cache import fingerprint, get_persistent_cache
-from repro.control import (Controller, ControllerConfig, ServiceProbe,
-                           TelemetryWindow, TICKET_RESERVE,
-                           read_snapshot, write_snapshot)
+from repro.control import (Controller, ServiceProbe, TelemetryWindow,
+                           TICKET_RESERVE, read_snapshot, write_snapshot)
+from repro.control.controller import REJOIN_ROUNDS, WINDOW_ROUNDS
 from repro.core import AdmissionTable, GlitchModel, RoundServiceTimeModel
 from repro.core.farm import degraded_mode_n_max, mirror_of
 from repro.disk import quantum_viking_2_1
@@ -106,12 +106,8 @@ class ServeConfig:
     g: int = 12
     disks: int = 2
     shed_mode: str = "pause"
-    #: Bulk-load the persistent bound cache before building the table.
-    preload: bool = True
     #: Run the closed-loop controller (``repro serve --adaptive``).
     adaptive: bool = False
-    #: Control-loop knobs; defaults built when ``adaptive`` and unset.
-    control: ControllerConfig | None = None
     #: Crash-safe ledger snapshot location (None: snapshots disabled).
     snapshot_path: str | None = None
     #: Seed of the deterministic round probe.
@@ -148,8 +144,6 @@ class ServeConfig:
         if self.shards < 0:
             raise ConfigurationError(
                 f"shards must be >= 0 (0: auto), got {self.shards!r}")
-        if self.control is None and self.adaptive:
-            object.__setattr__(self, "control", ControllerConfig())
 
     def fingerprint(self) -> str:
         """Content hash of the admission-relevant parameters -- the
@@ -174,11 +168,9 @@ class ServeDaemon:
         self.started_at = time.time()
 
         cfg = self.config
-        preloaded = 0
-        if cfg.preload:
-            persistent = get_persistent_cache()
-            if persistent is not None:
-                preloaded = persistent.preload()
+        # Bulk-load the persistent bound cache before building the table.
+        persistent = get_persistent_cache()
+        preloaded = persistent.preload() if persistent is not None else 0
         build_start = time.perf_counter()
         self.model = RoundServiceTimeModel.for_disk(cfg.spec,
                                                     cfg.size_dist)
@@ -234,14 +226,13 @@ class ServeDaemon:
         self._lock = threading.Lock()
 
         # -- measurement + control planes ------------------------------
-        control_cfg = cfg.control or ControllerConfig()
-        self._window = TelemetryWindow(maxlen=control_cfg.window_rounds)
+        self._window = TelemetryWindow(maxlen=WINDOW_ROUNDS)
         self._probe = ServiceProbe(cfg.spec, cfg.size_dist,
                                    seed=cfg.probe_seed)
         self._ctl: Controller | None = None
         if cfg.adaptive:
             self._ctl = Controller(
-                control_cfg, self.model, cfg.t, delta=cfg.delta,
+                self.model, cfg.t, delta=cfg.delta,
                 epsilon=cfg.epsilon, m=cfg.m, g=cfg.g,
                 healthy_n_max=self.controller.n_max_per_disk,
                 fallback_n_max=failure_proof)
@@ -906,7 +897,7 @@ class ServeDaemon:
             headroom = self.controller.capacity - self.controller.active
             if self._paused and headroom > 0:
                 self._rejoin_quota = max(1, math.ceil(
-                    headroom / self._ctl.config.rejoin_rounds))
+                    headroom / REJOIN_ROUNDS))
                 resumed = self._resume_locked(limit=self._rejoin_quota)
             else:
                 self._rejoin_quota = 0

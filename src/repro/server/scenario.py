@@ -225,12 +225,6 @@ class FarmPhaseStats:
             return 0.0
         return self.glitches / self.requests
 
-    def p_late_ci(self) -> tuple[float, float]:
-        """Wilson 95 % interval on :attr:`p_late`."""
-        if self.disk_rounds == 0:
-            return (0.0, 1.0)
-        return wilson_interval(self.late_disk_rounds, self.disk_rounds)
-
     def glitch_ci(self) -> tuple[float, float]:
         """Wilson 95 % interval on :attr:`glitch_rate`."""
         if self.requests == 0:

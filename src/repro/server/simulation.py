@@ -115,15 +115,15 @@ def _validate(spec: DiskSpec, n: int, t: float, rounds: int) -> None:
 
 def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
                     t: float, rounds: int, rng: np.random.Generator,
-                    initial_arm: int = 0, placement=None,
-                    recal_prob: float = 0.0,
+                    placement=None, recal_prob: float = 0.0,
                     recal_duration: float = 0.0,
                     service_scale: float = 1.0) -> RoundBatch:
     """Simulate ``rounds`` SCAN rounds of ``n`` requests each.
 
-    Rounds are simulated back-to-back on one drive: sweep direction
-    alternates and the arm carries over between rounds, so lumped seek
-    times reflect real elevator behaviour rather than independent sweeps.
+    Rounds are simulated back-to-back on one drive: the arm starts at
+    cylinder 0, sweep direction alternates and the arm carries over
+    between rounds, so lumped seek times reflect real elevator behaviour
+    rather than independent sweeps.
 
     ``placement`` optionally replaces the sector-uniform access law with
     a :class:`repro.disk.placement.PlacementPolicy`.
@@ -155,7 +155,7 @@ def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
     glitches = np.zeros((rounds, n), dtype=bool)
     rot = spec.rot
 
-    arm = float(initial_arm)
+    arm = 0.0
     direction_offset = 0
     done = 0
     while done < rounds:

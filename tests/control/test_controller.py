@@ -16,9 +16,9 @@ import math
 
 import pytest
 
-from repro.control import (Controller, ControllerConfig,
-                           RoundObservation, TelemetryWindow, Watchdog)
-from repro.control.controller import SCALE_STEP, quantise_scale
+from repro.control import Controller, RoundObservation, TelemetryWindow
+from repro.control.controller import (COOLDOWN_ROUNDS, MAX_SCALE,
+                                      SCALE_STEP, quantise_scale)
 from repro.core import GlitchModel, RoundServiceTimeModel
 from repro.core.admission import n_max_perror
 from repro.disk import quantum_viking_2_1
@@ -36,11 +36,9 @@ def model():
         Gamma.from_mean_std(200_000.0, 100_000.0))
 
 
-def make_controller(model, **overrides):
-    config = ControllerConfig(**overrides)
-    return Controller(config, model, 1.0, delta=0.01, epsilon=0.01,
-                      m=1200, g=12, healthy_n_max=28,
-                      fallback_n_max=13)
+def make_controller(model):
+    return Controller(model, 1.0, delta=0.01, epsilon=0.01, m=1200,
+                      g=12, healthy_n_max=28, fallback_n_max=13)
 
 
 def fill(window, rounds, *, late_rounds=0, bound=HEALTHY_BOUND,
@@ -58,23 +56,13 @@ def fill(window, rounds, *, late_rounds=0, bound=HEALTHY_BOUND,
 
 
 class TestConfigAndScale:
-    def test_config_validation(self):
-        for bad in (dict(guard_band=0.0), dict(guard_band=1.0),
-                    dict(relax_margin=0.0), dict(watchdog_factor=1.0),
-                    dict(window_rounds=0), dict(rejoin_rounds=0),
-                    dict(t_ladder=()), dict(t_ladder=(0.5,)),
-                    dict(safety=0.9), dict(max_scale=1.0)):
-            with pytest.raises(ConfigurationError):
-                ControllerConfig(**bad)
-
     def test_quantise_scale_snaps_to_grid(self):
-        assert quantise_scale(0.5, 32.0) == 1.0
-        assert quantise_scale(1.0, 32.0) == 1.0
-        assert quantise_scale(SCALE_STEP ** 5, 32.0) == pytest.approx(
+        assert quantise_scale(0.5) == 1.0
+        assert quantise_scale(1.0) == 1.0
+        assert quantise_scale(SCALE_STEP ** 5) == pytest.approx(
             SCALE_STEP ** 5)
-        assert quantise_scale(1e9, 32.0) <= 32.0
-        steps = math.log(quantise_scale(1.37, 32.0)) / math.log(
-            SCALE_STEP)
+        assert quantise_scale(1e9) <= MAX_SCALE == 32.0
+        steps = math.log(quantise_scale(1.37)) / math.log(SCALE_STEP)
         assert steps == pytest.approx(round(steps))
 
 
@@ -154,7 +142,7 @@ class TestTighten:
         assert decision.predicted_p_error <= 0.01
         ctl.committed(decision)
         assert ctl.n_max == 18 and ctl.retunes == 1
-        assert ctl.cooldown_left == ctl.config.cooldown_rounds
+        assert ctl.cooldown_left == COOLDOWN_ROUNDS
         assert ctl.state == "cooldown"
 
     def test_cooldown_suppresses_planning(self, model):
@@ -164,7 +152,7 @@ class TestTighten:
         fill(window, 48, late_rounds=10, ratio=1.28)
         ctl.committed(ctl.step(window))
         assert ctl.step(window) is None  # cooling down
-        assert ctl.cooldown_left == ctl.config.cooldown_rounds - 1
+        assert ctl.cooldown_left == COOLDOWN_ROUNDS - 1
 
     def test_zero_late_window_never_fakes_a_violation(self, model):
         """Regression: with zero late rounds the Wilson lower bound
@@ -190,14 +178,19 @@ class TestTighten:
 
 
 class TestWatchdog:
-    def test_breach_gates(self):
-        dog = Watchdog(factor=4.0, min_disk_rounds=8)
+    def test_breach_gates(self, model):
+        ctl = make_controller(model)
         window = TelemetryWindow(maxlen=48)
         fill(window, 2, late_rounds=2)     # 4 disk-rounds: too little
-        assert not dog.breached(window)
+        assert window.observed_p_late > 4.0 * window.bound
+        assert ctl.step(window) is None
+        assert ctl.watchdog_trips == 0
         fill(window, 10, late_rounds=10, start=2)
         assert window.observed_p_late > 4.0 * window.bound
-        assert dog.breached(window)
+        decision = ctl.step(window)
+        assert decision is not None and decision.kind == "watchdog"
+        assert decision.n_max == 13
+        assert ctl.watchdog_trips == 1
 
     def test_trip_drops_to_fallback_immediately(self, model):
         ctl = make_controller(model)
@@ -208,7 +201,7 @@ class TestWatchdog:
         assert decision is not None and decision.kind == "watchdog"
         assert decision.n_max == 13
         assert ctl.state == "escalated"
-        assert ctl.watchdog.trips == 1
+        assert ctl.watchdog_trips == 1
         ctl.committed(decision)
         assert ctl.n_max == 13
 
@@ -219,7 +212,7 @@ class TestWatchdog:
         fill(window, 48, late_rounds=20, bound=TINY_BOUND)
         decision = ctl.step(window)
         assert decision is None or decision.kind != "watchdog"
-        assert ctl.watchdog.trips == 0
+        assert ctl.watchdog_trips == 0
 
 
 class TestRelax:
@@ -272,7 +265,9 @@ class TestPersistence:
             ctl.restore_dict({"state": "panicking"})
 
     def test_summary_carries_config_and_limits(self, model):
+        # The loop's tuning values are code constants, so the summary
+        # carries the per-instance limits and no config block.
         summary = make_controller(model).summary()
         assert summary["healthy_n_max"] == 28
         assert summary["fallback_n_max"] == 13
-        assert summary["config"]["guard_band"] == 0.25
+        assert "config" not in summary

@@ -84,21 +84,25 @@ class TestDegradedMode:
 
 
 class TestFarmFanOut:
-    def test_plan_farm_jobs_invariant(self, paper_sizes):
-        specs = [quantum_viking_2_1(), seagate_hawk_1lp(),
-                 modern_av_drive()]
-        serial = plan_farm(specs, paper_sizes, 1.0, 1200, 12, 0.01)
-        fanned = plan_farm(specs, paper_sizes, 1.0, 1200, 12, 0.01,
-                           jobs=2)
-        assert serial == fanned
+    def test_a18_plans_pinned(self, paper_sizes):
+        # Bench A18's five farms and three drives, pinned as literals.
+        viking, hawk, fast = (quantum_viking_2_1(), seagate_hawk_1lp(),
+                              modern_av_drive())
+        farms = [[viking] * 4, [hawk] * 4, [fast] * 3,
+                 [fast] * 3 + [hawk], [viking] * 2 + [hawk] * 2]
+        plans = [plan_farm(specs, paper_sizes, 1.0, 1200, 12, 0.01)
+                 for specs in farms]
+        assert [plan.per_disk_n_max for plan in plans] == [
+            (28, 28, 28, 28), (16, 16, 16, 16), (55, 55, 55),
+            (55, 55, 55, 16), (28, 28, 16, 16)]
+        assert degraded_modes([viking, hawk, fast], paper_sizes, 1.0,
+                              0.01) == [(26, 13), (15, 7), (52, 26)]
 
     def test_degraded_modes_matches_per_disk_calls(self, paper_sizes):
         specs = [quantum_viking_2_1(), seagate_hawk_1lp()]
         expected = [degraded_mode_n_max(s, paper_sizes, 1.0, 0.01)
                     for s in specs]
         assert degraded_modes(specs, paper_sizes, 1.0, 0.01) == expected
-        assert (degraded_modes(specs, paper_sizes, 1.0, 0.01, jobs=2)
-                == expected)
 
     def test_degraded_modes_validation(self, paper_sizes):
         with pytest.raises(ConfigurationError):

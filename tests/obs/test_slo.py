@@ -9,6 +9,8 @@ from repro.distributions import binomial_tail
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
 from repro.obs.slo import (
+    PAGE_BURN,
+    WARN_BURN,
     SLOTracker,
     slo_report_from_records,
     slot_glitch_budget,
@@ -57,8 +59,7 @@ class TestSlotGlitchBudget:
 
 class TestSLOTracker:
     def test_burn_rate_is_hand_computable(self):
-        tracker = SLOTracker(0.01, fast_window=4, slow_window=8,
-                             page_burn=6.0, warn_burn=1.0)
+        tracker = SLOTracker(0.01, fast_window=4, slow_window=8)
         # 100 slots/round at budget 0.01 -> 1 allowed bad slot/round.
         for _ in range(4):
             tracker.observe(2, 100)
@@ -67,8 +68,7 @@ class TestSLOTracker:
         assert tracker.slow_burn == pytest.approx(2.0)
 
     def test_storm_pages_and_leak_warns(self):
-        tracker = SLOTracker(0.01, fast_window=4, slow_window=16,
-                             page_burn=6.0, warn_burn=1.0)
+        tracker = SLOTracker(0.01, fast_window=4, slow_window=16)
         for _ in range(16):
             assert tracker.observe(0, 100) == "ok"
         # Slow leak: 2x sustainable, not enough for the fast page.
@@ -132,8 +132,6 @@ class TestSLOTracker:
         dict(budget=0.01, degraded_budget=0.0),
         dict(budget=0.01, fast_window=0),
         dict(budget=0.01, fast_window=8, slow_window=4),
-        dict(budget=0.01, warn_burn=0.0),
-        dict(budget=0.01, warn_burn=3.0, page_burn=2.0),
     ])
     def test_constructor_validation(self, kwargs):
         budget = kwargs.pop("budget")
@@ -151,6 +149,31 @@ class TestSLOTracker:
         assert clone.to_dict() == data
         assert clone.state == tracker.state
         assert clone.fast_burn == pytest.approx(tracker.fast_burn)
+
+    def test_restores_a_snapshot_with_burn_thresholds(self):
+        # Older writers stored page_burn/warn_burn in the snapshot:
+        # every other field restores exactly, and the thresholds in
+        # force are the module constants.
+        data = {
+            "budget": 0.01, "degraded_budget": 0.02,
+            "fast_window": 3, "slow_window": 6,
+            "page_burn": 6.0, "warn_burn": 1.0,
+            "entries": [[2, 50, 0.5], [0, 50, 0.5], [1, 50, 1.0],
+                        [2, 50, 0.5], [0, 50, 0.5], [1, 50, 0.5]],
+            "state": "warn", "rounds": 8, "total_slots": 400,
+            "bad_slots": 7, "allowed_budget": 5.0,
+            "degraded_rounds": 2, "pages": 0, "warnings": 1,
+            "first_warn_round": 2, "first_page_round": None,
+            "last_round": 7,
+        }
+        clone = SLOTracker.from_dict(data)
+        expected = {key: value for key, value in data.items()
+                    if key not in ("page_burn", "warn_burn")}
+        assert clone.to_dict() == expected
+        summary = clone.summary()
+        assert (summary["page_burn"], summary["warn_burn"]) == (
+            PAGE_BURN, WARN_BURN)
+        assert summary["fast_burn"] == pytest.approx(2.0)
 
     def test_restore_refuses_unknown_state(self):
         data = SLOTracker(0.01).to_dict()

@@ -373,6 +373,7 @@ class TestObservability:
                              "4", "--slow-window", "8")
         assert code == 1
         assert "PAGE" in err
+        assert "6x the sustainable epsilon rate" in err
         assert "page" in out
 
     def test_slo_without_rounds_is_an_error(self, capsys, tmp_path):
