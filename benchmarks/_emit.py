@@ -4,8 +4,7 @@ Every bench writes its human-readable table through the ``record``
 fixture; this helper is the companion channel for the headline
 *numbers* (wall-clock, speedups, admitted-stream counts, bound/observed
 probabilities) so trend tracking never has to parse rendered tables.
-One JSON file per bench in ``benchmarks/results/``, schema-stamped,
-scalars only.
+One JSON file per bench, schema-stamped, scalars only.
 
 Usage inside a bench::
 
@@ -18,6 +17,11 @@ Usage inside a bench::
 
 The ``benchmark`` argument is optional; when given, the pedantic
 timing is included as ``wall_clock_s``.
+
+This module owns where results go: ``benchmarks/results/`` for full
+runs, ``benchmarks/results/smoke/`` (ignored by git) when
+``REPRO_BENCH_SMOKE`` is set, so a shrunk gate run never overwrites the
+committed full-run results.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ import json
 import os
 from pathlib import Path
 
+#: Where benches write their results and ``report.py`` reads them.
 RESULTS_DIR = Path(__file__).parent / "results"
+if os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"):
+    RESULTS_DIR /= "smoke"
 
 #: Bump when the payload envelope changes shape.
 SCHEMA_VERSION = 1
@@ -54,8 +61,9 @@ def payload(benchmark=None, **metrics) -> dict:
 
 
 def emit(name: str, benchmark=None, **metrics) -> Path:
-    """Write ``benchmarks/results/BENCH_<name>.json`` and echo the path."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Write ``BENCH_<name>.json`` under :data:`RESULTS_DIR` and echo
+    the path."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     path.write_text(
         json.dumps(payload(benchmark, **metrics), indent=2,

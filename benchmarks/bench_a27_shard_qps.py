@@ -1,11 +1,11 @@
-"""A27: sharded, batched admission hot path vs the single-lock one.
+"""A27: sharded, batched admission vs the single-lock controller.
 
-The serve hot path moved from one re-entrant controller lock per
-ticket to a striped ledger: S shards with their own locks and limit
-slices, plus a batch API that grants k tickets under a single
-shard-lock acquisition (one span, one bookkeeping pass).  This bench
-pins the win at the controller level -- no sockets, so what is
-measured is exactly the admission bookkeeping the refactor targets:
+``ShardedAdmissionController`` stripes the counter over S shards with
+their own locks and limit slices, and adds a batch API that grants k
+tickets under a single shard-lock acquisition (one span, one
+bookkeeping pass).  This bench measures both at the controller level
+-- no sockets, so what is measured is exactly the admission
+bookkeeping:
 
 * **legacy** -- ``AdmissionController``: per-ticket admit/release,
   every operation through the one lock;
@@ -13,11 +13,12 @@ measured is exactly the admission bookkeeping the refactor targets:
   stripe, ``admit_batch`` in chunks of k, one ``release_on`` per
   batch.
 
-The gated ``speedup`` metric is sharded throughput at 8 threads /
-batch 16 over legacy per-ticket throughput at the same 8 threads --
-the configuration the serve daemon actually runs (thread-per-
-connection, ``ServeClient.admit_many`` default batch).  The matrix
-over threads x batch sizes is emitted for sensitivity, not gated.
+The gated ``speedup`` metric is 8-stripe throughput at 8 threads /
+batch 16 (``ServeClient.admit_many``'s default batch) over legacy
+per-ticket throughput at the same 8 threads.  The matrix over threads
+x batch sizes is emitted for sensitivity, not gated.  The serve daemon
+itself runs one stripe (``docs/PERFORMANCE.md``, "Why one stripe"), so
+this bench is where stripes are measured.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the measurement windows so the CI
 regression leg finishes in seconds.

@@ -2,24 +2,24 @@
 
 Every bench regenerates one paper artifact (table/figure) or ablation.
 Besides the pytest-benchmark timing, each bench writes its data table to
-``benchmarks/results/<name>.txt`` so the numbers survive output capture
-and feed EXPERIMENTS.md, and every bench emits a machine-readable
-``benchmarks/results/BENCH_<name>.json`` (wall-clock plus its headline
-numbers -- see :mod:`_emit`) for trend tracking.
+``<results>/<name>.txt`` so the numbers survive output capture and feed
+EXPERIMENTS.md, and every bench emits a machine-readable
+``<results>/BENCH_<name>.json`` (wall-clock plus its headline numbers)
+for trend tracking.  ``<results>`` is :data:`_emit.RESULTS_DIR`:
+``benchmarks/results/``, or its ``smoke/`` subdirectory under
+``REPRO_BENCH_SMOKE``.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
+import _emit
 from repro import cache as cache_mod
 from repro.disk import quantum_viking_2_1, single_zone_viking
 from repro.workload import paper_fragment_sizes
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -59,11 +59,12 @@ def paper_sizes():
 
 @pytest.fixture(scope="session")
 def record():
-    """Write a result table to benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Write a result table under :data:`_emit.RESULTS_DIR` and echo
+    it."""
+    _emit.RESULTS_DIR.mkdir(parents=True, exist_ok=True)
 
     def _record(name: str, text: str) -> None:
-        path = RESULTS_DIR / f"{name}.txt"
+        path = _emit.RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[written to {path}]")
 
@@ -73,9 +74,8 @@ def record():
 @pytest.fixture(scope="session")
 def record_json():
     """Write a machine-readable metrics payload to
-    ``benchmarks/results/BENCH_<name>.json`` (delegates to
-    :mod:`_emit`, the shared emission helper)."""
-    import _emit
+    ``BENCH_<name>.json`` (delegates to :mod:`_emit`, the shared
+    emission helper)."""
 
     def _record(name: str, payload: dict) -> None:
         _emit.emit(name, None, **payload)

@@ -2,8 +2,10 @@
 """Collate ``BENCH_*.json`` emissions and check for perf regressions.
 
 Every bench writes a machine-readable payload to
-``benchmarks/results/BENCH_<name>.json`` (see :mod:`_emit`).  This tool
-has two jobs:
+``BENCH_<name>.json`` in :data:`_emit.RESULTS_DIR` --
+``benchmarks/results/``, or ``benchmarks/results/smoke/`` when
+``REPRO_BENCH_SMOKE`` is set -- which is also the default
+``--results-dir`` here.  This tool has two jobs:
 
 ``python benchmarks/report.py``
     Print a summary table of every emission found: name, wall clock,
@@ -28,7 +30,8 @@ import json
 import sys
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
+from _emit import RESULTS_DIR
+
 BASELINES_DIR = Path(__file__).parent / "baselines"
 
 #: Payload keys that are bookkeeping, not benchmark metrics.

@@ -155,7 +155,7 @@ _ENTRIES = [
                "bench_a26_trace_overhead.py",
                ("a26_trace_overhead",)),
     Experiment("A27", "Sharded admission hot path",
-               "per-ticket legacy admits vs the sharded ledger's "
+               "per-ticket legacy admits vs the sharded controller's "
                "batch admission API across thread counts and batch "
                "sizes; the 8-thread batch-16 admissions/sec speedup "
                "over the legacy controller is a CI regression gate",

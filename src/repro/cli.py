@@ -869,8 +869,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          snapshot_path=args.snapshot_path,
                          probe_seed=args.probe_seed,
                          slo_fast_window=args.slo_fast_window,
-                         slo_slow_window=args.slo_slow_window,
-                         shards=args.shards)
+                         slo_slow_window=args.slo_slow_window)
     tracer = Tracer(sink=args.trace) if args.trace else NULL_TRACER
     daemon = ServeDaemon(config, tracer=tracer)
     schedule = (FaultSchedule.from_toml(args.fault_schedule)
@@ -904,7 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: listening on {handle.url} "
               f"(n_max={daemon.controller.n_max_per_disk}/disk x "
               f"{args.disks} disks, degraded={daemon.degraded_n_max}, "
-              f"{daemon.controller.shards} shard(s), "
               f"table build {daemon.build_seconds * 1e3:.1f} ms)")
         if daemon.state()["restored"]:
             print(f"repro serve: restored snapshot "
@@ -1241,10 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ROUNDS",
                    help="slow burn-rate window in probed rounds "
                    "(leak detector -> warn)")
-    p.add_argument("--shards", type=int, default=0, metavar="S",
-                   help="admission-counter stripes in the hot path "
-                   "(0: auto, about 2x the CPU count; 1: the legacy "
-                   "single-lock behaviour)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("admit",

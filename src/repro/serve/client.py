@@ -3,11 +3,9 @@
 Used by the ``repro admit`` CLI, the serve smoke test, the chaos leg
 and benches A23/A27 -- no third-party HTTP library.  Each thread keeps
 one persistent ``http.client`` connection to the daemon (HTTP/1.1
-keep-alive), so a stream of admits pays the TCP handshake once and --
-because the daemon's server is thread-per-connection -- lands on one
-admission shard with no lock contention.  ``close()`` (or using the
-client as a context manager) releases the sockets; an unclosed client
-closes them on garbage collection.
+keep-alive), so a stream of admits pays the TCP handshake once.
+``close()`` (or using the client as a context manager) releases the
+sockets; an unclosed client closes them on garbage collection.
 
 The client is **retrying**: transport failures (connection refused
 while the daemon restarts from a snapshot, a connection torn mid

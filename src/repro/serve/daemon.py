@@ -2,25 +2,25 @@
 
 :class:`ServeDaemon` owns the run-time state of a live §5 admission
 server: the precomputed :class:`~repro.core.admission.AdmissionTable`,
-the striped :class:`~repro.server.admission.ShardedAdmissionController`,
+the batch-granting
+:class:`~repro.server.admission.ShardedAdmissionController`,
 the :class:`~repro.server.faults.SheddingPolicy` applied when a disk
 fails, and the per-stream ledger that decides *which* streams are shed
 (newest first) and resumed (oldest first) -- the same semantics the
 event-driven :class:`~repro.server.server.MediaServer` implements per
 round boundary, applied here at fault-event time.
 
-The hot path is sharded: the ledger is striped into one segment per
-controller shard, and an admit or a release-by-ticket touches exactly
-one shard lock (the ticket counter has its own micro-lock).  Batch
-admission (:meth:`ServeDaemon.admit_many`) grants k tickets under a
-single shard acquisition with one ``admission.admit`` span and one
-``ledger.append`` span for the whole batch.  Global events -- fault,
-shed/resume, controller retarget, snapshot, ``/state`` -- run under
-the daemon lock *plus* :meth:`ShardedAdmissionController.quiesced`,
-which takes every shard lock in fixed order, so they always observe a
-ledger that agrees with the counters (ledger mutations happen inside
-the controller's on-grant/on-release callbacks, under the same shard
-lock as the count).
+The controller runs one stripe (no serve workload measured a gain
+from more; ``docs/PERFORMANCE.md``), and the ledger is one ascending
+list of live tickets mutated only inside the controller's on-grant
+and on-release callbacks, under that stripe's lock -- so counter and
+ledger always agree, and an admit, a release-by-ticket or a whole
+batch of either takes the lock once.  Batch admission
+(:meth:`ServeDaemon.admit_many`) grants k tickets with one
+``admission.admit`` span and one ``ledger.append`` span for the whole
+batch.  Global events -- fault, shed/resume, controller retarget,
+snapshot, ``/state`` -- run under the daemon lock *plus*
+:meth:`ShardedAdmissionController.quiesced`.
 
 On top of the static service, two optional planes from
 :mod:`repro.control`:
@@ -41,10 +41,8 @@ persists a versioned, fsync-atomic snapshot of the ledger + controller
 state after every fault/retune, restores it on start, and applies the
 unclean-restart ticket reserve so a ``kill -9`` mid-storm can never
 re-issue a granted ticket (:mod:`repro.control.snapshot`).  Snapshots
-are shard-count independent: the persisted stream list is the sorted
-merge of the segments, and restore re-stripes it round-robin, so a
-snapshot written under ``--shards 16`` restores bit-for-bit under
-``--shards 1``.
+list the live tickets in admission order; snapshots written by
+daemons that striped the ledger over several shards restore unchanged.
 
 All public methods are safe to call from any number of HTTP worker
 threads.  ``tick_round`` is additionally serialised by a tick lock
@@ -60,7 +58,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 from repro.cache import fingerprint, get_persistent_cache
@@ -118,11 +115,6 @@ class ServeConfig:
     #: (warn).
     slo_fast_window: int = 32
     slo_slow_window: int = 256
-    #: Admission-counter stripes (``repro serve --shards``); 0 picks
-    #: the auto default (about 2x the worker-thread count).  Purely a
-    #: concurrency knob: excluded from the snapshot fingerprint, and
-    #: snapshots restore across different shard counts.
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.size_dist is None:
@@ -141,15 +133,12 @@ class ServeConfig:
             raise ConfigurationError(
                 f"need 1 <= slo_fast_window <= slo_slow_window, got "
                 f"{self.slo_fast_window!r}/{self.slo_slow_window!r}")
-        if self.shards < 0:
-            raise ConfigurationError(
-                f"shards must be >= 0 (0: auto), got {self.shards!r}")
 
     def fingerprint(self) -> str:
         """Content hash of the admission-relevant parameters -- the
         compatibility key stamped into snapshots (adaptive/snapshot/
-        SLO-window/shard settings excluded: they do not change what a
-        ticket means)."""
+        SLO-window settings excluded: they do not change what a ticket
+        means)."""
         return fingerprint(
             "serve-config", self.spec, self.size_dist, float(self.t),
             float(self.epsilon), float(self.delta), int(self.m),
@@ -182,9 +171,9 @@ class ServeDaemon:
             cfg.spec, cfg.size_dist, cfg.t, cfg.delta)
         self.build_seconds = time.perf_counter() - build_start
 
+        #: One stripe: every per-stripe call below names stripe 0.
         self.controller = ShardedAdmissionController.from_table(
-            self.table, epsilon=cfg.epsilon, disks=cfg.disks,
-            shards=(cfg.shards or None))
+            self.table, epsilon=cfg.epsilon, disks=cfg.disks)
         #: Admission-layer spans ride the daemon's tracer.
         self.controller.tracer = tracer
         self.policy = SheddingPolicy(failure_proof, mode=cfg.shed_mode)
@@ -201,26 +190,16 @@ class ServeDaemon:
         self.healthy_n_max = self.controller.n_max_per_disk
         self.degraded_n_max = failure_proof
 
-        #: The striped ledger: one ascending segment of live tickets
-        #: per controller shard, mutated only inside the controller's
-        #: grant/release callbacks (so always under that shard's lock)
-        #: or under a full quiesce.  Ticket ids are globally monotonic,
-        #: so the sorted merge of the segments is the admission order.
-        self._segments: list[list[int]] = [
-            [] for _ in range(self.controller.shards)]
-        #: Ticket -> owning shard.  Written under the shard lock;
-        #: lock-free reads see a GIL-atomic point-in-time value and
-        #: re-validate under the lock before acting.
-        self._shard_of: dict[int, int] = {}
+        #: The ledger: live tickets, ascending (== admission order,
+        #: ticket ids being monotonic).  Mutated only inside the
+        #: controller's grant/release callbacks or under a quiesce, so
+        #: always under the stripe lock, as is ``_next_stream``.
+        self._streams: list[int] = []
         self._paused: list[int] = []
         self._failed_disks: set[int] = set()
         #: Live slow-disk drift factors, by disk (1.0 entries elided).
         self._slow: dict[int, float] = {}
         self._next_stream = 0
-        #: Micro-lock for the monotonic ticket counter: taken inside a
-        #: shard lock on the grant path (lock order: daemon lock ->
-        #: shard locks -> ticket lock).
-        self._ticket_lock = threading.Lock()
         #: The global-event lock (fault/control/snapshot/views).  The
         #: admit/release hot paths never take it.
         self._lock = threading.Lock()
@@ -323,9 +302,6 @@ class ServeDaemon:
         m.gauge("serve_cache_preloaded_entries",
                 help="Persistent-cache rows bulk-loaded at startup"
                 ).set(preloaded)
-        m.gauge("serve_shards",
-                help="Admission-counter stripes in the hot path"
-                ).set(self.controller.shards)
         self._epoch_gauge = m.gauge(
             "serve_admission_epoch",
             help="Shard-limit redistribution epoch (bumps on retarget "
@@ -347,8 +323,7 @@ class ServeDaemon:
                              m=cfg.m, g=cfg.g,
                              n_max=self.controller.n_max_per_disk,
                              degraded_n_max=failure_proof,
-                             shed_mode=cfg.shed_mode,
-                             shards=self.controller.shards)
+                             shed_mode=cfg.shed_mode)
 
     # -- client operations ---------------------------------------------
     def _count_request(self, op: str, retried: bool = False) -> None:
@@ -367,22 +342,18 @@ class ServeDaemon:
 
     def _grant_tickets(self, out: dict):
         """Build the controller ``on_grant`` callback: issue a block
-        of monotonic tickets, splice them into the granting shard's
-        segment, and record one ``ledger.append`` span for the block.
-        Runs under the granting shard's lock, *after* the
-        ``admission.admit`` span has closed -- the two stay siblings
-        under the caller's HTTP span."""
+        of monotonic tickets, append them to the ledger, and record one
+        ``ledger.append`` span for the block.  Runs under the stripe
+        lock, *after* the ``admission.admit`` span has closed -- the
+        two stay siblings under the caller's HTTP span."""
         tracer = self.tracer
 
-        def on_grant(index: int, granted: int) -> None:
-            with self._ticket_lock:
-                first = self._next_stream
-                self._next_stream += granted
+        def on_grant(_index: int, granted: int) -> None:
+            first = self._next_stream
+            self._next_stream += granted
             tickets = list(range(first, first + granted))
-            # Monotonic ids: appending keeps the segment ascending.
-            self._segments[index].extend(tickets)
-            for ticket in tickets:
-                self._shard_of[ticket] = index
+            # Monotonic ids: appending keeps the ledger ascending.
+            self._streams.extend(tickets)
             active = self.controller.active
             with start_span("ledger.append", tracer=tracer) as span:
                 span.set(stream=tickets[0], active=active)
@@ -422,7 +393,7 @@ class ServeDaemon:
 
     def admit_many(self, count: int, *,
                    retried: bool = False) -> dict:
-        """Admit up to ``count`` streams under one shard acquisition.
+        """Admit up to ``count`` streams under one lock acquisition.
 
         Partial-grant: when fewer than ``count`` slots remain
         globally, the remainder is rejected (counted) and the grant is
@@ -454,48 +425,29 @@ class ServeDaemon:
         return {"requested": count, "granted": granted,
                 "streams": out["streams"], "active": out["active"]}
 
-    def _remove_ticket_locked(self, stream: int, index: int) -> int:
-        """Unlink ``stream`` from shard ``index``'s segment; call
-        under that shard's lock.  Returns how many were removed (0:
-        the ticket was shed/moved since the caller looked it up)."""
-        if self._shard_of.get(stream) != index:
-            return 0
-        segment = self._segments[index]
-        at = bisect.bisect_left(segment, stream)
-        if at < len(segment) and segment[at] == stream:
-            del segment[at]
-            del self._shard_of[stream]
+    def _unlink_locked(self, stream: int) -> int:
+        """Unlink ``stream`` from the ledger; call under the stripe
+        lock.  Returns how many were removed (0: not live)."""
+        streams = self._streams
+        at = bisect.bisect_left(streams, stream)
+        if at < len(streams) and streams[at] == stream:
+            del streams[at]
             return 1
         return 0
 
     def _release_ticket(self, stream: int) -> None:
-        """Release one ticket through its shard's fast path; retries
-        the lookup when a concurrent global event moves the ticket
-        between the lock-free lookup and the shard lock."""
-        for _ in range(8):
-            index = self._shard_of.get(stream)
-            if index is None:
-                break
-            removed = self.controller.release_on(
-                index,
-                lambda: self._remove_ticket_locked(stream, index))
-            if removed:
-                return
-        raise ConfigurationError(f"stream {stream!r} is not active")
+        """Release one ticket under one stripe-lock acquisition."""
+        if not self.controller.release_on(
+                0, lambda: self._unlink_locked(stream)):
+            raise ConfigurationError(f"stream {stream!r} is not active")
 
     def _pop_oldest_locked(self) -> int:
         """Remove and return the oldest live ticket; call under the
         daemon lock + controller quiesce."""
-        best = None
-        for index, segment in enumerate(self._segments):
-            if segment and (best is None
-                            or segment[0] < self._segments[best][0]):
-                best = index
-        if best is None:
+        if not self._streams:
             raise ConfigurationError("no active stream to release")
-        stream = self._segments[best].pop(0)
-        del self._shard_of[stream]
-        self.controller.release_locked(best, 1)
+        stream = self._streams.pop(0)
+        self.controller.release_locked(0, 1)
         return stream
 
     def release(self, stream: int | None = None, *,
@@ -516,40 +468,24 @@ class ServeDaemon:
         return {"stream": stream, "active": active}
 
     def release_many(self, streams, *, retried: bool = False) -> dict:
-        """Release a batch of tickets, grouped so each shard's lock is
-        taken once.  Unknown/already-released tickets are reported in
-        ``missing`` rather than failing the batch."""
+        """Release a batch of tickets under one stripe-lock
+        acquisition, in one pass.  Unknown, already-released and
+        repeated tickets are reported in ``missing`` rather than
+        failing the batch."""
         self._count_request("release_batch", retried)
+        wanted = [int(raw) for raw in streams]
         released: list[int] = []
         missing: list[int] = []
-        groups: dict[int, list[int]] = {}
-        for raw in streams:
-            stream = int(raw)
-            index = self._shard_of.get(stream)
-            if index is None:
-                missing.append(stream)
-            else:
-                groups.setdefault(index, []).append(stream)
-        for index, group in groups.items():
-            got: list[int] = []
 
-            def unlink(index=index, group=group, got=got) -> int:
-                for stream in group:
-                    if self._remove_ticket_locked(stream, index):
-                        got.append(stream)
-                return len(got)
+        def unlink() -> int:
+            for stream in wanted:
+                if self._unlink_locked(stream):
+                    released.append(stream)
+                else:
+                    missing.append(stream)
+            return len(released)
 
-            self.controller.release_on(index, unlink)
-            released.extend(got)
-            for stream in group:
-                if stream not in got:
-                    # Moved by a concurrent global event: single-path
-                    # retry resolves the new shard (or reports it).
-                    try:
-                        self._release_ticket(stream)
-                        released.append(stream)
-                    except ConfigurationError:
-                        missing.append(stream)
+        self.controller.release_on(0, unlink)
         active = self.controller.active
         if released:
             self._released.inc(len(released))
@@ -559,13 +495,8 @@ class ServeDaemon:
 
     # -- shared retarget helpers ---------------------------------------
     # All _*_locked helpers below run under self._lock AND
-    # self.controller.quiesced(): every shard lock is held, so the
-    # segments and counters form one consistent picture.
-    def _ledger_streams_locked(self) -> list[int]:
-        """Sorted merge of the live segments (== admission order,
-        ticket ids being monotonic)."""
-        return sorted(chain.from_iterable(self._segments))
-
+    # self.controller.quiesced(), so the ledger and the counters form
+    # one consistent picture.
     def _fault_limit_locked(self) -> int:
         return (self.degraded_n_max if self._failed_disks
                 else self.healthy_n_max)
@@ -584,19 +515,14 @@ class ServeDaemon:
     def _shed_to_capacity_locked(self, mode: str) -> list[int]:
         """Shed newest-first until the active count fits the current
         capacity; pause mode parks victims in admission order."""
-        shed: list[int] = []
-        while (self.controller.active > self.controller.capacity
-               and any(self._segments)):
-            # Newest first == the global max ticket: the largest
-            # segment tail (segments are ascending).
-            victim_shard = max(
-                (i for i, seg in enumerate(self._segments) if seg),
-                key=lambda i: self._segments[i][-1])
-            victim = self._segments[victim_shard].pop()
-            del self._shard_of[victim]
-            self.controller.release_locked(victim_shard, 1)
-            shed.append(victim)
-        if mode == "pause" and shed:
+        excess = self.controller.active - self.controller.capacity
+        if excess <= 0:
+            return []
+        # Newest first: the ledger's tail, highest ticket first.
+        shed = self._streams[-excess:][::-1]
+        del self._streams[-excess:]
+        self.controller.release_locked(0, excess)
+        if mode == "pause":
             # Keep the paused ledger in admission order (ticket ids
             # are monotonic), so recovery resumes oldest first.
             self._paused.extend(shed)
@@ -612,13 +538,10 @@ class ServeDaemon:
                 break
             stream = self._paused.pop(0)  # oldest first
 
-            def relink(index: int, stream=stream) -> None:
-                # Old ticket rejoining a live segment: insort, not
-                # append (newer tickets were granted meanwhile).
-                bisect.insort(self._segments[index], stream)
-                self._shard_of[stream] = index
-
-            self.controller.admit_locked(relink)
+            self.controller.admit_locked()
+            # Old ticket rejoining the ledger: insort, not append
+            # (newer tickets were granted meanwhile).
+            bisect.insort(self._streams, stream)
             resumed.append(stream)
         return resumed
 
@@ -917,24 +840,16 @@ class ServeDaemon:
     # -- crash-safe snapshots ------------------------------------------
     def snapshot_payload(self, clean: bool = False) -> dict:
         """Consistent snapshot document (see
-        :mod:`repro.control.snapshot` for the format contract).
-
-        Shard-count independent by construction: streams are the
-        sorted merge of the segments and the counters are global sums,
-        so the same logical state snapshots to the same document under
-        any ``--shards`` setting.
-        """
+        :mod:`repro.control.snapshot` for the format contract)."""
         with self._lock, self.controller.quiesced():
             snap = self.controller.snapshot_locked()
-            with self._ticket_lock:
-                next_stream = self._next_stream
             payload = {
                 "clean": bool(clean),
                 "config_fingerprint": self.config.fingerprint(),
                 "written_at": time.time(),
                 "ledger": {
-                    "next_stream": next_stream,
-                    "streams": self._ledger_streams_locked(),
+                    "next_stream": self._next_stream,
+                    "streams": list(self._streams),
                     "paused": list(self._paused),
                     "failed_disks": sorted(self._failed_disks),
                     "slow": {str(d): f for d, f
@@ -977,23 +892,15 @@ class ServeDaemon:
 
         A clean snapshot resumes ticket numbering exactly; an unclean
         one (the ``kill -9`` case) advances the ticket counter by the
-        reserve so no granted ticket can ever be re-issued.  The
-        persisted stream list is re-striped round-robin over however
-        many shards *this* daemon runs -- restore works across shard
-        counts.
+        reserve so no granted ticket can ever be re-issued.
         """
         document = read_snapshot(path, self.config.fingerprint())
         ledger = document.get("ledger") or {}
         control = document.get("control") or {}
         clean = bool(document.get("clean", False))
         with self._lock, self.controller.quiesced():
-            streams = sorted(int(s) for s in ledger.get("streams", ()))
-            count = self.controller.shards
-            self._segments = [streams[i::count] for i in range(count)]
-            self._shard_of = {
-                stream: index
-                for index, segment in enumerate(self._segments)
-                for stream in segment}
+            self._streams = sorted(
+                int(s) for s in ledger.get("streams", ()))
             self._paused = sorted(
                 int(s) for s in ledger.get("paused", ()))
             self._failed_disks = {
@@ -1001,11 +908,9 @@ class ServeDaemon:
             self._slow = {int(d): float(f) for d, f
                           in (ledger.get("slow") or {}).items()}
             reserve = 0 if clean else TICKET_RESERVE
-            with self._ticket_lock:
-                self._next_stream = int(
-                    ledger.get("next_stream", 0)) + reserve
+            self._next_stream = int(ledger.get("next_stream", 0)) + reserve
             self.controller.restore_state_locked(
-                shard_actives=[len(s) for s in self._segments],
+                shard_actives=[len(self._streams)],
                 requests=int(ledger.get("requests", 0)),
                 rejections=int(ledger.get("rejections", 0)))
             self._round_index = int(control.get("round_index", 0))
@@ -1059,29 +964,17 @@ class ServeDaemon:
 
     def refresh_export_metrics(self) -> None:
         """Refresh scrape-time derived metrics -- trace emit/drop
-        counters, the SLO burn gauges, and the per-shard admission
-        gauges -- so ``/metrics`` reflects this instant even between
-        ticks.  Idempotent, and lock-free on the hot-path state."""
+        counters, the SLO burn gauges, and the admission gauges -- so
+        ``/metrics`` reflects this instant even between ticks.
+        Idempotent, and lock-free on the hot-path state."""
         publish_trace_metrics(self.registry, self.tracer)
         self.slo.publish(self.registry)
-        total = 0
-        for index, (active, limit) in enumerate(
-                self.controller.shard_counts()):
-            label = {"shard": str(index)}
-            self.registry.gauge(
-                "serve_shard_active", label,
-                help="Streams admitted on this stripe").set(active)
-            self.registry.gauge(
-                "serve_shard_limit", label,
-                help="Capacity slice assigned to this stripe"
-                ).set(limit)
-            total += active
-        self._active_gauge.set(total)
+        self._active_gauge.set(self.controller.active)
         self._epoch_gauge.set(self.controller.epoch)
         self._rebalance_gauge.set(self.controller.rebalances)
 
     def healthz(self) -> dict:
-        """Liveness summary (lock-free: stripe-sum reads only)."""
+        """Liveness summary (lock-free counter reads only)."""
         controller = self.controller
         return {"status": ("degraded" if controller.degraded
                            else "ok"),
@@ -1111,7 +1004,6 @@ class ServeDaemon:
                                if self._ctl else None),
             }
         out["shards"] = {
-            "count": self.controller.shards,
             "epoch": self.controller.epoch,
             "debt": self.controller.debt,
             "rebalances": self.controller.rebalances,
@@ -1131,11 +1023,10 @@ class ServeDaemon:
         RunTelemetry digest of the recorded events."""
         with self._lock, self.controller.quiesced():
             controller = self.controller.snapshot_locked()
-            streams = self._ledger_streams_locked()
+            streams = list(self._streams)
             paused = list(self._paused)
             failed = sorted(self._failed_disks)
-            with self._ticket_lock:
-                next_stream = self._next_stream
+            next_stream = self._next_stream
             slow = {str(d): f for d, f in sorted(self._slow.items())}
         state = {
             "controller": controller,

@@ -7,7 +7,7 @@ external dependencies) exposing:
   409 ``{"error": ...}`` when admission would break the guarantee;
 - ``POST /admit/batch`` -> 200 ``{"requested": k, "granted": g,
   "streams": [...], "active": ...}``; body ``{"count": k}``.  One
-  shard acquisition and one span for the whole batch; partial grants
+  lock acquisition and one span for the whole batch; partial grants
   return 200 with ``granted < requested``, a zero grant returns 409;
 - ``POST /release`` -> 200; JSON body ``{"stream": n}`` optional
   (default: oldest active stream);
@@ -20,22 +20,21 @@ external dependencies) exposing:
   and returns where it was written;
 - ``GET /metrics``  -> Prometheus text exposition of the daemon's
   registry (version 0.0.4 content type), refreshed with trace-loss
-  counters, SLO burn gauges and per-shard admission gauges at scrape
-  time;
+  counters, SLO burn gauges and admission gauges at scrape time;
 - ``GET /healthz``  -> liveness JSON;
 - ``GET /state``    -> full controller/policy/table JSON view;
 - ``GET /control``  -> control-plane view: telemetry window
-  aggregates, controller state machine, drift factors, shard epoch;
+  aggregates, controller state machine, drift factors, admission
+  epoch;
 - ``GET /slo``      -> ε error-budget view: burn rates over the
   fast/slow round windows, alert state, budget remaining.
 
 Connections are HTTP/1.1 persistent: a keep-alive client
 (:class:`~repro.serve.client.ServeClient`) pays the TCP handshake
-once and its requests keep landing on the same worker thread -- which
-also pins them to one admission shard, so the sharded hot path runs
-contention-free per connection.  The server tracks live connection
-sockets and force-closes them on shutdown, so ``block_on_close`` can
-still join every worker and a clean exit leaks nothing.
+once and its requests keep landing on the same worker thread.  The
+server tracks live connection sockets and force-closes them on
+shutdown, so ``block_on_close`` can still join every worker and a
+clean exit leaks nothing.
 
 Two response fast paths skip JSON encoding entirely: admission
 rejects are answered from a one-slot pre-encoded 409 cache (the

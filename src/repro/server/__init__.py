@@ -22,7 +22,6 @@ from repro.server.streams import Stream, StreamStats, ClientBuffer
 from repro.server.admission import (
     AdmissionController,
     ShardedAdmissionController,
-    default_shard_count,
 )
 from repro.server.faults import (
     FaultEvent,
@@ -55,7 +54,6 @@ __all__ = [
     "ClientBuffer",
     "AdmissionController",
     "ShardedAdmissionController",
-    "default_shard_count",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",

@@ -20,17 +20,19 @@ Two implementations share that contract:
 - :class:`AdmissionController` -- the original single-lock counter.
   Every transition takes one re-entrant lock; simple, exact, and the
   reference the sharded controller is cross-validated against.
-- :class:`ShardedAdmissionController` -- the serve hot path.  The
-  counter is striped over S shards, each with its own lock and a local
-  ``limit`` (its slice of the global capacity), so concurrent admits
-  on different shards never touch the same lock.  A batch admit takes
-  *one* shard lock for k tickets.  When a shard's slice is exhausted
-  but global capacity remains, a slow-path rebalance (all shard locks,
-  fixed order) steals slack from other shards -- no false rejects.
-  Global events (``degrade``/``restore``/shed/resume/snapshot) run
-  under :meth:`ShardedAdmissionController.quiesced`, which takes every
-  shard lock in index order; each retarget bumps an observable
-  ``epoch``.
+- :class:`ShardedAdmissionController` -- the batch-granting counter
+  behind ``repro serve``.  The counter is striped over S shards
+  (default 1), each with its own lock and a local ``limit`` (its slice
+  of the global capacity), so concurrent admits on different shards
+  never touch the same lock.  A batch admit takes *one* shard lock for
+  k tickets.  When a shard's slice is exhausted but global capacity
+  remains, a slow-path rebalance (all shard locks, fixed order) steals
+  slack from other shards -- no false rejects.  Global events
+  (``degrade``/``restore``/shed/resume/snapshot) run under
+  :meth:`ShardedAdmissionController.quiesced`, which takes every shard
+  lock in index order; each retarget bumps an observable ``epoch``.
+  The daemon runs one stripe: no serve workload measured a gain from
+  more (``docs/PERFORMANCE.md``); bench A27 measures S > 1 in-process.
 
 The sharded invariant: ``sum(shard.limit) == capacity + debt`` with
 ``shard.active <= shard.limit`` at all times.  ``debt`` is the
@@ -42,7 +44,6 @@ so no phantom slack can ever re-admit past the analytic guarantee.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 
@@ -51,14 +52,7 @@ from repro.errors import AdmissionError, ConfigurationError
 from repro.obs.spans import start_span
 from repro.obs.trace import NULL_TRACER
 
-__all__ = ["AdmissionController", "ShardedAdmissionController",
-           "default_shard_count"]
-
-
-def default_shard_count() -> int:
-    """Default stripe width: about twice the worker-thread count the
-    HTTP layer runs (thread-per-connection), clamped to [4, 32]."""
-    return min(32, max(4, 2 * (os.cpu_count() or 2)))
+__all__ = ["AdmissionController", "ShardedAdmissionController"]
 
 
 class AdmissionController:
@@ -287,19 +281,18 @@ class ShardedAdmissionController:
       events, in fixed lock order (op lock, then shards by index);
     - ``epoch``/``rebalances`` -- observable retarget/steal counters.
 
-    Thread identity picks the home shard, so a thread-per-connection
-    server gives each persistent connection an uncontended stripe.
+    Thread identity picks the home shard, so with S > 1 a
+    thread-per-connection server gives each persistent connection an
+    uncontended stripe.
     """
 
     def __init__(self, n_max_per_disk: int, disks: int = 1, *,
-                 shards: int | None = None) -> None:
+                 shards: int = 1) -> None:
         if n_max_per_disk < 0:
             raise ConfigurationError(
                 f"n_max_per_disk must be >= 0, got {n_max_per_disk!r}")
         if disks < 1:
             raise ConfigurationError(f"disks must be >= 1, got {disks!r}")
-        if shards is None:
-            shards = default_shard_count()
         if shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {shards!r}")
@@ -327,7 +320,7 @@ class ShardedAdmissionController:
     # -- construction ---------------------------------------------------
     @classmethod
     def from_table(cls, table: AdmissionTable, *, epsilon: float,
-                   disks: int = 1, shards: int | None = None
+                   disks: int = 1, shards: int = 1
                    ) -> "ShardedAdmissionController":
         """Build a sharded controller from a §5 lookup table."""
         return cls(table.n_max_perror(epsilon), disks=disks,
@@ -392,11 +385,6 @@ class ShardedAdmissionController:
     def shard_for_thread(self) -> int:
         """The calling thread's home stripe."""
         return threading.get_ident() % len(self._shards)
-
-    def shard_counts(self) -> list[tuple[int, int]]:
-        """Lock-free per-stripe ``(active, limit)`` view for metric
-        scrapes (each field read is GIL-atomic)."""
-        return [(shard.active, shard.limit) for shard in self._shards]
 
     # -- fast path ------------------------------------------------------
     def admit(self) -> None:

@@ -1,17 +1,21 @@
-"""Sharded serve hot path: batch admission edges, multi-thread
-invariants under faults and snapshots, shard-count-independent
-restore, and the batch HTTP routes.
+"""Serve hot path: batch admission edges, multi-thread invariants
+under faults and snapshots, restore of a snapshot written by the
+striped ledger, and the batch HTTP routes.
 
-The daemon-level contract: whatever the stripe count and whatever the
-interleaving of admits, batch admits, releases, fault events and
-snapshot requests, ``active <= capacity (+ debt)`` holds at every
-instant, the ticket ledger and the counter always agree, and a
-snapshot taken under one shard count restores bit-for-bit under any
-other.
+The daemon-level contract: whatever the interleaving of admits, batch
+admits, releases, fault events and snapshot requests, ``active <=
+capacity (+ debt)`` holds at every instant, the ticket ledger and the
+counter always agree, and a snapshot written when the daemon striped
+its ledger over eight shards restores bit-for-bit on the one-stripe
+ledger.
 """
 
+import json
 import random
+import shutil
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +23,14 @@ from repro.errors import AdmissionError
 from repro.serve import (ServeClient, ServeConfig, ServeDaemon,
                          ServeHandle)
 
+#: Written by ``ServeDaemon.save_snapshot(clean=True)`` when the
+#: daemon striped its ledger over eight shards; see
+#: :class:`TestStripedLedgerSnapshot` for the run that produced it.
+STRIPED_SNAPSHOT = Path(__file__).parent / "data" / "snapshot_shards8.json"
+
 
 def make_daemon(tmp_path=None, **overrides):
     overrides.setdefault("disks", 2)
-    overrides.setdefault("shards", 8)
     if tmp_path is not None:
         overrides.setdefault(
             "snapshot_path", str(tmp_path / "serve.snapshot.json"))
@@ -77,13 +85,23 @@ class TestBatchEdges:
         assert daemon.controller.active == degraded_capacity
         daemon.fault("disk_recover", 0)
 
-    def test_release_many_groups_by_shard(self):
+    def test_release_many_reports_unknown_tickets_as_missing(self):
         daemon = make_daemon()
         streams = daemon.admit_many(12)["streams"]
         result = daemon.release_many(streams[:6] + [99_999])
         assert result["released"] == streams[:6]
         assert result["missing"] == [99_999]
         assert result["active"] == 6
+
+    def test_release_many_reports_a_repeated_ticket_as_missing(self):
+        daemon = make_daemon()
+        daemon.admit_many(2)
+        result = daemon.release_many([0, 0, 1])
+        assert result["released"] == [0, 1]
+        assert result["missing"] == [0]
+        assert result["active"] == 0
+        assert daemon.registry.snapshot()[
+            "serve_released_total"]["value"] == 2
 
     def test_ledger_and_counter_agree_after_batches(self):
         daemon = make_daemon()
@@ -98,11 +116,13 @@ class TestShardStress:
     def test_storm_never_overshoots_and_drains_clean(self):
         """8 churner threads (mixed single/batch admits and releases)
         race a fault flipper and a snapshotter; the live count may
-        never exceed capacity + debt, and after the storm every
-        admitted ticket is releasable with nothing left over."""
-        daemon = make_daemon(shards=8)
+        never exceed capacity + debt, no ticket is granted twice, and
+        after the storm every admitted ticket is releasable with
+        nothing left over."""
+        daemon = make_daemon()
         stop = threading.Event()
         failures = []
+        granted = []
 
         def churner(seed):
             rng = random.Random(seed)
@@ -114,11 +134,13 @@ class TestShardStress:
                         try:
                             got = daemon.admit_many(rng.randint(1, 6))
                             mine.extend(got["streams"])
+                            granted.extend(got["streams"])
                         except AdmissionError:
                             pass
                     elif roll < 0.6:
                         try:
                             mine.append(daemon.admit()["stream"])
+                            granted.append(mine[-1])
                         except AdmissionError:
                             pass
                     elif mine:
@@ -156,13 +178,22 @@ class TestShardStress:
                 for seed in range(8)]
         pool.append(threading.Thread(target=flipper))
         pool.append(threading.Thread(target=snapshotter))
-        for thread in pool:
-            thread.start()
-        threading.Event().wait(0.4)
-        stop.set()
-        for thread in pool:
-            thread.join()
+        interval = sys.getswitchinterval()
+        # Switch threads often, so an unlocked read-modify-write of the
+        # ticket counter or the ledger would lose updates.
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            threading.Event().wait(0.4)
+        finally:
+            stop.set()
+            for thread in pool:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
         assert not failures, failures
+        assert len(set(granted)) == len(granted)  # no ticket twice
         daemon.fault("disk_recover", 0)
         # Zero leaks: the ledger lists exactly the active tickets and
         # releasing them all leaves an empty daemon.
@@ -176,8 +207,8 @@ class TestShardStress:
         assert sum(snap["shard_limit"]) == (snap["capacity"]
                                             + snap["debt"])
 
-    def test_single_shard_behaves_like_legacy(self):
-        daemon = make_daemon(shards=1)
+    def test_default_daemon_runs_one_stripe(self):
+        daemon = make_daemon()
         assert daemon.controller.shards == 1
         tickets = [daemon.admit()["stream"] for _ in range(56)]
         assert tickets == list(range(56))
@@ -189,61 +220,56 @@ class TestShardStress:
         assert daemon.controller.active == 56
 
 
-class TestShardCountIndependentSnapshots:
-    def _exercise(self, daemon):
-        daemon.admit_many(40)
-        for _ in range(16):
-            daemon.admit()
-        daemon.release(3)
-        daemon.release_many([10, 11])
-        daemon.fault("disk_fail", 0)
-        daemon.fault("slow_disk", 1, factor=1.2)
-        for _ in range(5):
-            daemon.tick_round()
+class TestStripedLedgerSnapshot:
+    """The committed snapshot was written by a daemon that striped its
+    ledger over eight shards (``disks=2``, adaptive), after
+    ``admit_many(40)``, 16 single admits, ``release(3)``,
+    ``release_many([10, 11])``, ``disk_fail`` on disk 0,
+    ``slow_disk`` 1.2 on disk 1 and five ``tick_round`` calls."""
 
-    @pytest.mark.parametrize("restore_shards", [1, 3, 8, 32])
-    def test_restore_is_bit_for_bit_across_shard_counts(
-            self, tmp_path, restore_shards):
-        first = make_daemon(tmp_path, shards=8, adaptive=True)
-        self._exercise(first)
-        first.save_snapshot(clean=True)
-        before = first.snapshot_payload(clean=True)
+    def test_restores_bit_for_bit_and_releases_every_ticket(
+            self, tmp_path):
+        document = json.loads(STRIPED_SNAPSHOT.read_text())
+        shutil.copyfile(STRIPED_SNAPSHOT,
+                        tmp_path / "serve.snapshot.json")
+        daemon = make_daemon(tmp_path, adaptive=True)
+        assert daemon.state()["restored"] is True
 
-        second = make_daemon(tmp_path, shards=restore_shards,
-                             adaptive=True)
-        after = second.snapshot_payload(clean=True)
-        before.pop("written_at"), after.pop("written_at")
-        assert after == before
-        assert second.state()["restored"] is True
-        assert second.controller.active == first.controller.active
-        assert second.controller.shards == restore_shards
+        after = daemon.snapshot_payload(clean=True)
+        for key in ("kind", "version", "written_at"):
+            document.pop(key)
+        after.pop("written_at")
+        assert after == document
+        streams = document["ledger"]["streams"]
+        assert daemon.controller.active == len(streams) > 0
         # The restored ledger is releasable ticket-for-ticket.
-        state = second.state()
-        result = second.release_many(state["streams"])
+        result = daemon.release_many(daemon.state()["streams"])
+        assert result["released"] == streams
         assert result["missing"] == []
-        assert second.controller.active == 0
+        assert daemon.controller.active == 0
 
 
 class TestShardObservability:
     def test_control_state_reports_shards(self):
-        daemon = make_daemon(shards=4)
+        daemon = make_daemon()
         daemon.admit_many(8)
         shards = daemon.control_state()["shards"]
-        assert shards["count"] == 4
+        assert set(shards) == {"epoch", "debt", "rebalances"}
         assert shards["epoch"] >= 0
         assert shards["debt"] == 0
-        assert "rebalances" in shards
 
-    def test_per_shard_gauges_exported(self):
-        daemon = make_daemon(shards=4)
+    def test_admission_gauges_exported(self):
+        daemon = make_daemon()
         daemon.admit_many(10)
         daemon.refresh_export_metrics()
         text = daemon.registry.to_prometheus()
-        assert 'serve_shard_active{shard="0"}' in text
-        assert 'serve_shard_limit{shard="3"}' in text
-        assert "serve_shards 4" in text
         assert "serve_admission_epoch" in text
         assert "serve_admission_rebalances" in text
+        assert "serve_active_streams 10" in text
+        names = {line.split("{")[0].split()[0]
+                 for line in text.splitlines()
+                 if line and not line.startswith("#")}
+        assert not [name for name in names if "shard" in name]
 
     def test_batch_size_histogram_observes(self):
         daemon = make_daemon()
@@ -263,7 +289,7 @@ def no_thread_leaks():
 
 @pytest.fixture
 def served_sharded():
-    daemon = ServeDaemon(ServeConfig(disks=2, shards=4))
+    daemon = ServeDaemon(ServeConfig(disks=2))
     handle = ServeHandle(daemon)
     handle.start()
     client = ServeClient(handle.url)

@@ -17,11 +17,7 @@ from repro.core import AdmissionTable, GlitchModel, RoundServiceTimeModel
 from repro.disk import quantum_viking_2_1
 from repro.errors import AdmissionError, ConfigurationError
 from repro.workload import paper_fragment_sizes
-from repro.server import (
-    AdmissionController,
-    ShardedAdmissionController,
-    default_shard_count,
-)
+from repro.server import AdmissionController, ShardedAdmissionController
 
 
 def assert_invariant(controller):
@@ -65,9 +61,6 @@ class TestCounting:
         assert "admission denied" in str(info.value)
         assert info.value.active_streams == 2
         assert info.value.limit == 2
-
-    def test_default_shard_count_bounds(self):
-        assert 4 <= default_shard_count() <= 32
 
     def test_from_table_matches_legacy(self):
         model = RoundServiceTimeModel.for_disk(
