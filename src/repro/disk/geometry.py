@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.disk.sweepkernel import (placement_tables, sample_zoned,
+                                    zones_of_draws)
 from repro.disk.zones import ZoneMap
 from repro.errors import ConfigurationError, GeometryError
 
@@ -116,21 +118,17 @@ class DiskGeometry:
         Zone chosen with probability proportional to zone capacity
         (``counts_z * C_z``); cylinder uniform within the zone.  For the
         paper's equal-track zones this reduces to eq. (3.2.1).  The zone
-        CDF comes from the cached sweep-kernel tables, so per-fragment
-        layout draws no longer rebuild it on every call.
+        pick is the sweep kernel's, with its clamp of a draw past a CDF
+        that rounding left just below 1.
         """
-        from repro.disk.sweepkernel import placement_tables
-
         tables = placement_tables(self)
-        u = rng.random(size=size)
-        zone = np.searchsorted(tables.cum_probs, u, side="right")
-        lo = self._bounds[zone]
-        hi = self._bounds[zone + 1]
-        frac = rng.random(size=size)
-        cyl = (lo + np.floor(frac * (hi - lo))).astype(int)
-        if size is None:
-            return int(cyl)
-        return cyl
+        if size is not None:
+            return sample_zoned(tables, rng, size)[0]
+        # One cylinder, the same two draws: the position in scalar
+        # arithmetic, as numpy's per-call cost dominates at this size.
+        zone = int(zones_of_draws(tables, rng.random(1))[0])
+        width = int(tables.zone_counts[zone])
+        return int(tables.zone_bounds[zone]) + int(rng.random() * width)
 
     def __repr__(self) -> str:
         return (f"DiskGeometry(cylinders={self.cylinders}, "

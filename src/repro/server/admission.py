@@ -44,6 +44,7 @@ so no phantom slack can ever re-admit past the analytic guarantee.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -301,6 +302,12 @@ class ShardedAdmissionController:
         self._healthy_n_max = self.n_max_per_disk
         self._degraded = False
         self._shards = [_Shard() for _ in range(int(shards))]
+        #: Each thread's home stripe, dealt round-robin on its first
+        #: call.  (A hash of ``threading.get_ident()`` would not spread
+        #: them: CPython's idents are 64-byte aligned, so their low bits
+        #: are all zero.)
+        self._home = threading.local()
+        self._next_home = itertools.count()
         #: Serialises global events against each other (the shard
         #: locks alone would let two quiesce attempts deadlock-order).
         self._op_lock = threading.Lock()
@@ -383,8 +390,13 @@ class ShardedAdmissionController:
         return self.active < self.capacity
 
     def shard_for_thread(self) -> int:
-        """The calling thread's home stripe."""
-        return threading.get_ident() % len(self._shards)
+        """The calling thread's home stripe, fixed on its first call:
+        threads get stripes round-robin, in the order they first ask."""
+        home = getattr(self._home, "shard", None)
+        if home is None:
+            home = next(self._next_home) % len(self._shards)
+            self._home.shard = home
+        return home
 
     # -- fast path ------------------------------------------------------
     def admit(self) -> None:

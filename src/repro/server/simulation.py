@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.analysis.stats import wilson_interval
 from repro.disk.presets import DiskSpec
-from repro.disk.sweepkernel import sample_cylinders_rates
+from repro.disk.sweepkernel import sample_cylinders_rates, seek_table
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
 
@@ -51,8 +51,9 @@ __all__ = [
     "PErrorEstimate",
 ]
 
-#: Rounds per vectorised chunk; bounds peak memory at roughly
-#: ``6 * chunk * N * 8`` bytes.  :func:`simulate_rounds` reads it at
+#: Rounds per vectorised chunk; bounds the working arrays at about
+#: ``9 * chunk * N * 8`` bytes at peak (tracemalloc, beyond the
+#: returned batch).  :func:`simulate_rounds` reads it at
 #: call time, so a test can shrink it to exercise the multi-chunk path.
 #: A different chunk consumes the RNG stream in a different order:
 #: results stay statistically equivalent but are not bit-equal.
@@ -154,8 +155,12 @@ def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
     first_seeks = np.empty(rounds, dtype=float)
     glitches = np.zeros((rounds, n), dtype=bool)
     rot = spec.rot
+    seeks = seek_table(spec.seek_curve, spec.cylinders)
+    # Sort key: cylinder in the high bits, column in the low ``bits``.
+    bits = max(1, (n - 1).bit_length())
+    columns = np.arange(n)
 
-    arm = 0.0
+    arm = 0
     direction_offset = 0
     done = 0
     while done < rounds:
@@ -167,42 +172,54 @@ def simulate_rounds(spec: DiskSpec, size_dist: Distribution, n: int,
             raise ConfigurationError(
                 "size distribution produced non-positive fragment sizes")
 
-        order = np.argsort(cylinders, axis=1, kind="stable")
-        # Alternate sweep direction: even global round index ascends.
-        descending = ((np.arange(chunk) + direction_offset) % 2).astype(bool)
-        order[descending] = order[descending, ::-1]
+        # SCAN order in one in-place sort.  Keys are unique per row, so
+        # ascending rows come out in stable-argsort order; negating the
+        # keys of descending rows (odd global round index) reverses it:
+        # cylinders descend, ties by descending column.
+        keys = cylinders << bits
+        keys |= columns
+        descending = keys[1 - direction_offset::2]
+        np.negative(descending, out=descending)
+        keys.sort(axis=1)
+        np.abs(keys, out=keys)
+        sorted_cyl = keys >> bits
+        # The low bits, offset by row, index the chunk's flat arrays.
+        keys &= (1 << bits) - 1
+        keys += np.arange(0, chunk * n, n)[:, None]
+        flat = keys
 
-        sorted_cyl = np.take_along_axis(cylinders, order, axis=1)
-        sorted_sizes = np.take_along_axis(sizes, order, axis=1)
-        sorted_rates = np.take_along_axis(rates, order, axis=1)
+        # Seek distances along the sweep.  Row-major, each round's first
+        # hop starts where the previous round's sweep ended, and the
+        # chunk's first where the arm was left.
+        flat_cyl = sorted_cyl.reshape(-1)
+        distances = np.empty_like(flat_cyl)
+        distances[0] = flat_cyl[0] - arm
+        np.subtract(flat_cyl[1:], flat_cyl[:-1], out=distances[1:])
+        np.abs(distances, out=distances)
+        seek_times = seeks[distances.reshape(chunk, n)]
 
-        # Seek distances along the sweep; first hop from the previous
-        # round's arm position.
-        inner = np.abs(np.diff(sorted_cyl, axis=1)).astype(float)
-        ends = sorted_cyl[:, -1].astype(float)
-        prev_end = np.concatenate(([arm], ends[:-1]))
-        first = np.abs(sorted_cyl[:, 0] - prev_end)
-        distances = np.concatenate((first[:, None], inner), axis=1)
-        seek_times = np.asarray(spec.seek_curve(distances))
-
-        rotation = rng.uniform(0.0, rot, size=(chunk, n))
-        transfer = sorted_sizes / sorted_rates
-        completion = np.cumsum(seek_times + rotation + transfer, axis=1)
+        # Elementwise, so dividing before the gather gives the same bits.
+        transfer = np.divide(sizes, rates, out=rates).reshape(-1)[flat]
+        # Seek + rotation + transfer, summed in place into the rotation
+        # draw, then accumulated along the sweep.
+        completion = rng.uniform(0.0, rot, size=(chunk, n))
+        completion += seek_times
+        completion += transfer
+        np.cumsum(completion, axis=1, out=completion)
         if service_scale != 1.0:
-            completion = completion * service_scale
+            completion *= service_scale
         if recal_prob > 0.0:
             stall = np.where(rng.random(chunk) < recal_prob,
                              recal_duration, 0.0)
-            completion = completion + stall[:, None]
+            completion += stall[:, None]
 
         service_times[done:done + chunk] = completion[:, -1]
         seek_totals[done:done + chunk] = np.sum(seek_times, axis=1)
         first_seeks[done:done + chunk] = seek_times[:, 0]
 
-        late = completion > t
-        np.put_along_axis(glitches[done:done + chunk], order, late, axis=1)
+        glitches[done:done + chunk].reshape(-1)[flat] = completion > t
 
-        arm = float(ends[-1])
+        arm = int(sorted_cyl[-1, -1])
         direction_offset = (direction_offset + chunk) % 2
         done += chunk
 

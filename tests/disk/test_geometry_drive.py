@@ -9,10 +9,21 @@ from repro.disk import (
     DiskRequest,
     ZoneMap,
     quantum_viking_2_1,
+    seagate_hawk_1lp,
 )
 from repro.errors import ConfigurationError, GeometryError
 
 ROT = 8.34e-3
+
+
+class TopDrawRng:
+    """Stands in for a Generator whose every draw is the largest value
+    ``Generator.random`` can return, 1 - 2**-53."""
+
+    TOP = 1.0 - 2.0 ** -53
+
+    def random(self, size=None):
+        return self.TOP if size is None else np.full(size, self.TOP)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +88,14 @@ class TestGeometry:
         c = geometry.sample_cylinder(rng)
         assert isinstance(c, int)
         assert 0 <= c < 6720
+
+    def test_top_draw_picks_the_last_cylinder(self):
+        # The Hawk's zone CDF ends at 1 - 2**-53, so the top draw lies
+        # past it and must be clamped to the last zone.
+        geometry = seagate_hawk_1lp().geometry
+        assert geometry.sample_cylinder(TopDrawRng()) == 2759
+        assert list(geometry.sample_cylinder(TopDrawRng(), size=3)) == [
+            2759] * 3
 
     def test_rejects_fewer_cylinders_than_zones(self):
         with pytest.raises(ConfigurationError):

@@ -116,6 +116,28 @@ class TestBatch:
         assert seen == [(2, 6)]
 
 
+class TestHomeStripes:
+    def test_concurrent_threads_get_distinct_homes(self):
+        """8 live threads on 8 stripes home on 8 different stripes (a
+        modulus of the thread ident homed every one on stripe 0)."""
+        controller = ShardedAdmissionController(7, disks=8, shards=8)
+        barrier = threading.Barrier(8)
+        homes = []
+
+        def ask():
+            barrier.wait()
+            homes.append((controller.shard_for_thread(),
+                          controller.shard_for_thread()))
+
+        pool = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert all(first == again for first, again in homes)
+        assert sorted(first for first, _ in homes) == list(range(8))
+
+
 class TestRebalance:
     def test_no_false_reject_when_one_stripe_is_hot(self):
         """Every admit lands on stripe 0: its slice exhausts after
