@@ -34,6 +34,7 @@ same cost contract the rest of :mod:`repro.obs.trace` keeps.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
@@ -50,6 +51,7 @@ __all__ = [
     "NOOP_SPAN",
     "new_id",
     "start_span",
+    "emit_span",
     "current_span",
     "format_trace_header",
     "parse_trace_header",
@@ -66,12 +68,25 @@ TRACE_HEADER = "X-Repro-Trace"
 #: Process-unique id prefix + atomic counter: cheaper than a UUID per
 #: span on the admission hot path, still unique across processes.
 _ID_PREFIX = os.urandom(4).hex()
-_IDS = itertools.count(1)
+#: Ids are formatted a block at a time: formatting one per span was the
+#: largest single cost of opening a span inside a request.  Each refill
+#: takes its own block of counter values (an atomic ``next``), so
+#: threads refilling at once never share an id.
+_ID_BLOCK = 1024
+_ID_BLOCKS = itertools.count(1, _ID_BLOCK)
+_ID_POOL: collections.deque = collections.deque()
 
 
 def new_id() -> str:
     """A fresh process-unique span/trace id (8 hex chars + counter)."""
-    return f"{_ID_PREFIX}{next(_IDS):06x}"
+    try:
+        return _ID_POOL.popleft()
+    except IndexError:
+        first = next(_ID_BLOCKS)
+        ids = [f"{_ID_PREFIX}{n:06x}"
+               for n in range(first, first + _ID_BLOCK)]
+        _ID_POOL.extend(ids[1:])
+        return ids[0]
 
 
 class SpanContext(NamedTuple):
@@ -124,19 +139,20 @@ def parse_trace_header(value) -> tuple[SpanContext | None, int]:
 # Live spans
 # ----------------------------------------------------------------------
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    """Per-thread stack of entered spans (``__init__`` runs once in
+    each thread that touches it)."""
+
+    def __init__(self) -> None:
+        self.stack: list = []
 
 
-def _stack() -> list:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = _ACTIVE.stack = []
-    return stack
+_ACTIVE = _Active()
 
 
 def current_span():
     """The innermost active :class:`Span` on this thread (or None)."""
-    stack = getattr(_ACTIVE, "stack", None)
+    stack = _ACTIVE.stack
     return stack[-1] if stack else None
 
 
@@ -192,13 +208,13 @@ class Span:
         self.tracer.emit_record(record)
 
     def __enter__(self) -> "Span":
-        _stack().append(self)
+        _ACTIVE.stack.append(self)
         self._pushed = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._pushed:
-            stack = _stack()
+            stack = _ACTIVE.stack
             if stack and stack[-1] is self:
                 stack.pop()
             elif self in stack:  # defensive: out-of-order exits
@@ -266,6 +282,36 @@ def start_span(name: str, *, tracer: Tracer | None = None,
     else:
         span_context = SpanContext(trace_id or new_id(), new_id())
     return Span(tracer, span_context, name, attrs or None)
+
+
+def emit_span(name: str, tracer: Tracer, attrs: dict) -> None:
+    """Record a finished leaf span under the current span in one call.
+
+    Emits the same ``span_start``/``span_end`` pair as ``with
+    start_span(name, tracer=tracer) as span: span.set(**attrs)``, for
+    a span that times no work of its own (the admit path's
+    ``admission.admit`` and ``ledger.append``) -- without a
+    :class:`Span` object or the thread-local push and pop.  ``attrs``
+    is taken over by the end record.  Callers guard with ``if
+    tracer.enabled:``, which also spares the spans-off path computing
+    the attribute values.
+    """
+    stack = _ACTIVE.stack
+    parent = stack[-1].context if stack else None
+    trace_id = new_id() if parent is None else parent.trace_id
+    span_id = new_id()
+    start = {"kind": "span_start", "seq": 0, "wall": 0.0,
+             "trace": trace_id, "span": span_id, "name": name}
+    if parent is not None:
+        start["parent"] = parent.span_id
+    t0 = time.perf_counter()
+    tracer.emit_record(start)
+    end = {"kind": "span_end", "seq": 0, "wall": 0.0,
+           "trace": trace_id, "span": span_id, "name": name,
+           "seconds": time.perf_counter() - t0}
+    if attrs:
+        end["attrs"] = attrs
+    tracer.emit_record(end)
 
 
 # ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ class Tracer:
         :func:`time.time`.
     """
 
-    __slots__ = ("enabled", "capacity", "emitted", "dropped", "_records",
+    __slots__ = ("enabled", "capacity", "_cleared", "_records",
                  "_seq", "_sink", "_sink_path", "_owns_sink", "_clock",
                  "_emit_lock", "_pending", "_write_lock", "_has_sink")
 
@@ -122,8 +122,8 @@ class Tracer:
                 f"tracer capacity must be >= 1, got {capacity!r}")
         self.enabled = bool(enabled)
         self.capacity = int(capacity)
-        self.emitted = 0
-        self.dropped = 0
+        #: Records removed by :meth:`clear` (not evictions).
+        self._cleared = 0
         self._records: deque = deque(maxlen=self.capacity)
         self._seq = 0
         self._sink = None
@@ -186,15 +186,23 @@ class Tracer:
             record["seq"] = self._seq
             record["wall"] = self._clock()
             self._seq += 1
-            self.emitted += 1
-            if len(self._records) == self.capacity:
-                self.dropped += 1
             self._records.append(record)
             if self._has_sink:
                 self._pending.append(record)
         if len(self._pending) >= _PENDING_FLUSH:
             self._drain()
         return record
+
+    @property
+    def emitted(self) -> int:
+        """Records emitted so far (one ``seq`` each)."""
+        return self._seq
+
+    @property
+    def dropped(self) -> int:
+        """Records the full ring evicted to make room (the sink keeps
+        them).  Derived, so :meth:`emit_record` counts nothing twice."""
+        return self._seq - len(self._records) - self._cleared
 
     def start_run(self, seed: int | None = None, **config) -> dict:
         """Emit the ``run_start`` header record (seed- and schema-
@@ -213,7 +221,9 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop buffered records (the sink file is untouched)."""
-        self._records.clear()
+        with self._emit_lock:
+            self._cleared += len(self._records)
+            self._records.clear()
 
     def _resolve_sink(self):
         if self._sink is None and self._sink_path is not None:

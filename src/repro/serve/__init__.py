@@ -20,9 +20,10 @@ long-running daemon:
   scaled wall-clock time;
 - :class:`~repro.serve.http.RoundTicker` -- drives the daemon's
   measurement/control loop (``tick_round``) at wall-clock cadence;
-- :class:`~repro.serve.client.ServeClient` -- a retrying ``urllib``
-  client (exponential backoff + jitter, idempotency-aware) used by
-  ``repro admit``, the smoke/chaos legs and benches A23/A25.
+- :class:`~repro.serve.client.ServeClient` -- a retrying keep-alive
+  client with its own HTTP/1.1 wire codec (exponential backoff +
+  jitter, idempotency-aware) used by ``repro admit``, the smoke/chaos
+  legs and benches A23/A26.
 
 With ``adaptive=True`` the daemon additionally runs the closed-loop
 controller from :mod:`repro.control`: a telemetry window compares

@@ -1,11 +1,23 @@
 """Keep-alive JSON client for a running ``repro serve`` daemon.
 
 Used by the ``repro admit`` CLI, the serve smoke test, the chaos leg
-and benches A23/A27 -- no third-party HTTP library.  Each thread keeps
-one persistent ``http.client`` connection to the daemon (HTTP/1.1
-keep-alive), so a stream of admits pays the TCP handshake once.
-``close()`` (or using the client as a context manager) releases the
-sockets; an unclosed client closes them on garbage collection.
+and benches A23/A26 -- no third-party HTTP library.  Each thread keeps
+one persistent HTTP/1.1 keep-alive connection to the daemon, so a
+stream of admits pays the TCP handshake once.  ``close()`` (or using
+the client as a context manager) releases the sockets; an unclosed
+client closes them on garbage collection.
+
+The wire codec is the private :class:`_Connection`, not
+``http.client``: a request leaves in one ``sendall`` (request line,
+``Host``, the caller's headers, ``Content-Length`` and the body), and
+the reply is read with bounded ``readline`` calls that keep only
+``Content-Length`` and ``Connection``, then exactly ``Content-Length``
+body bytes.  It keeps ``http.client``'s limits on a reply -- a line of
+at most 64 KiB, at most 100 headers -- and refuses a reply without a
+non-negative integer ``Content-Length``, a short body or an early EOF
+with ``http.client``'s exception types, so every failure lands in the
+retry taxonomy below.  After ``Connection: close`` the socket is
+closed and the next request reconnects.
 
 The client is **retrying**: transport failures (connection refused
 while the daemon restarts from a snapshot, a connection torn mid
@@ -46,14 +58,17 @@ request counters.
 
 For tests, ``connection_factory`` injects the transport: any callable
 returning an object with ``request``/``getresponse``/``close`` (the
-``http.client.HTTPConnection`` surface) -- the retry contract tests
-drive the client against flaky fakes through this seam.
+surface :class:`_Connection` shares with ``http.client``'s
+connections) -- the retry contract tests drive the client against
+flaky fakes through this seam.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.parse
@@ -72,11 +87,133 @@ __all__ = ["ServeClient"]
 
 #: Transport-level exceptions that mean "the daemon was unreachable or
 #: the connection died" -- candidates for retry.  ``RemoteDisconnected``
-#: is a ``ConnectionResetError``; ``HTTPException`` covers the
-#: connection-state errors (``CannotSendRequest`` after a half-torn
-#: exchange); ``OSError`` covers refused/reset/timeout at the socket.
+#: is a ``ConnectionResetError``; ``HTTPException`` covers a reply the
+#: codec cannot frame (bad status line, over-long line, too many
+#: headers, bad ``Content-Length``, short body); ``OSError`` covers
+#: refused/reset/timeout at the socket.
 _TRANSPORT_ERRORS = (http.client.HTTPException, ConnectionError,
                      TimeoutError, OSError)
+
+#: ``http.client``'s limits on a reply: the longest status or header
+#: line, and the most header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: Body bytes asked of the socket per read, so a peer that announces a
+#: huge ``Content-Length`` and hangs up costs no huge allocation.
+_READ_CHUNK = 1 << 20
+
+
+class _Reply:
+    """One framed response: ``status`` and the whole body (``read()``,
+    the ``http.client.HTTPResponse`` surface the client uses)."""
+
+    __slots__ = ("status", "_body")
+
+    def __init__(self, status: int, body: bytes) -> None:
+        self.status = status
+        self._body = body
+
+    def read(self) -> bytes:
+        return self._body
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to the daemon.
+
+    Connects on the first :meth:`request`, so a refused connect
+    surfaces from the send stage.  Not thread-safe: the client gives
+    each thread its own.
+    """
+
+    __slots__ = ("_address", "_timeout", "_host", "_sock", "_rfile")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._address = (host, port)
+        self._timeout = timeout
+        self._host = (f"[{host}]:{port}" if ":" in host
+                      else f"{host}:{port}")
+        self._sock = None
+        self._rfile = None
+
+    def request(self, method: str, path: str, body: bytes | None = None,
+                headers: dict | None = None) -> None:
+        """Send one request: everything in a single ``sendall``."""
+        sock = self._sock
+        if sock is None:
+            sock = self._sock = socket.create_connection(self._address,
+                                                         self._timeout)
+            self._rfile = sock.makefile("rb")
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        head = [f"{method} {path} HTTP/1.1\r\nHost: {self._host}\r\n"]
+        for name, value in (headers or {}).items():
+            head.append(f"{name}: {value}\r\n")
+        if body is not None or method == "POST":
+            head.append(f"Content-Length: {len(body or b'')}\r\n")
+        head.append("\r\n")
+        data = "".join(head).encode("latin-1")
+        sock.sendall(data + body if body else data)
+
+    def getresponse(self) -> _Reply:
+        """Read one reply; after ``Connection: close``, close so the
+        next request reconnects."""
+        rfile = self._rfile
+        line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response")
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("status line")
+        parts = line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit()
+                or parts[1] < b"100"):
+            raise http.client.BadStatusLine(repr(line))
+        length = b""
+        close = False
+        count = 0
+        while True:
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise http.client.LineTooLong("header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > _MAX_HEADERS:
+                raise http.client.HTTPException(
+                    f"got more than {_MAX_HEADERS} headers")
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                length = value.strip()
+            elif name == b"connection":
+                close = value.strip().lower() == b"close"
+        try:
+            remaining = int(length) if length.isdigit() else -1
+        except ValueError:  # more digits than int() will parse
+            remaining = -1
+        if remaining < 0:
+            raise http.client.HTTPException(
+                f"reply needs a non-negative integer Content-Length, "
+                f"got {length[:40]!r}")
+        chunks = []
+        while remaining:
+            chunk = rfile.read(min(remaining, _READ_CHUNK))
+            if not chunk:
+                raise http.client.IncompleteRead(b"".join(chunks),
+                                                 remaining)
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        if close:
+            self.close()
+        return _Reply(int(parts[1]), b"".join(chunks))
+
+    def close(self) -> None:
+        rfile, self._rfile = self._rfile, None
+        sock, self._sock = self._sock, None
+        if rfile is not None:
+            rfile.close()
+        if sock is not None:
+            sock.close()
 
 
 def _is_connect_stage(exc: BaseException) -> bool:
@@ -119,6 +256,13 @@ class ServeClient:
         if not url.startswith("http://"):
             raise ConfigurationError(
                 f"daemon url must start with http://, got {url!r}")
+        if not all("\x20" < char < "\x7f" for char in url):
+            # The codec writes the request target verbatim: a space or
+            # a control character would break (or inject into) the
+            # request line.
+            raise ConfigurationError(
+                f"daemon url must be printable ASCII without spaces, "
+                f"got {url!r}")
         if retries < 1:
             raise ConfigurationError(
                 f"retries must be >= 1, got {retries!r}")
@@ -138,14 +282,12 @@ class ServeClient:
         self.retried = 0
 
         split = urllib.parse.urlsplit(self.url)
+        if not split.hostname:
+            raise ConfigurationError(f"daemon url needs a host, got {url!r}")
         self._path_prefix = split.path.rstrip("/")
         if connection_factory is None:
-            host, port = split.hostname, split.port
-
-            def connection_factory():
-                return http.client.HTTPConnection(host, port,
-                                                  timeout=self.timeout)
-
+            connection_factory = functools.partial(
+                _Connection, split.hostname, split.port or 80, timeout)
         self._factory = connection_factory
         #: Per-thread persistent connection slot.
         self._local = threading.local()
@@ -275,9 +417,8 @@ class ServeClient:
                     try:
                         status, payload = self._roundtrip(
                             method, path, data, headers)
-                        # Unlike urllib, http.client treats 4xx/5xx as
-                        # data, which is what we want -- a 409
-                        # rejection is a *result*, not an exception.
+                        # A 4xx/5xx is data, not an exception -- a
+                        # 409 rejection is a *result*.
                         attempt_span.set(status=status)
                         op_span.set(status=status, attempts=number)
                         return status, payload

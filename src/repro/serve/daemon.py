@@ -71,7 +71,7 @@ from repro.distributions import Gamma
 from repro.errors import AdmissionError, ConfigurationError
 from repro.obs import MetricsRegistry, RunTelemetry
 from repro.obs.slo import SLOTracker, slot_glitch_budget
-from repro.obs.spans import start_span
+from repro.obs.spans import emit_span, start_span
 from repro.obs.trace import NULL_TRACER, publish_trace_metrics
 from repro.server.admission import ShardedAdmissionController
 from repro.server.faults import SheddingPolicy
@@ -355,11 +355,12 @@ class ServeDaemon:
             # Monotonic ids: appending keeps the ledger ascending.
             self._streams.extend(tickets)
             active = self.controller.active
-            with start_span("ledger.append", tracer=tracer) as span:
-                span.set(stream=tickets[0], active=active)
+            if tracer.enabled:
+                attrs = {"stream": first, "active": active}
                 if granted > 1:
-                    span.set(count=granted,
-                             last_stream=tickets[-1])
+                    attrs["count"] = granted
+                    attrs["last_stream"] = tickets[-1]
+                emit_span("ledger.append", tracer, attrs)
             out["streams"] = tickets
             out["active"] = active
 

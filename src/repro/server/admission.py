@@ -50,7 +50,7 @@ from contextlib import contextmanager
 
 from repro.core.admission import AdmissionTable
 from repro.errors import AdmissionError, ConfigurationError
-from repro.obs.spans import start_span
+from repro.obs.spans import emit_span, start_span
 from repro.obs.trace import NULL_TRACER
 
 __all__ = ["AdmissionController", "ShardedAdmissionController"]
@@ -427,12 +427,12 @@ class ShardedAdmissionController:
         with home.lock:
             home.requests += count
             if home.limit - home.active >= count:
-                with start_span("admission.admit",
-                                tracer=self.tracer) as span:
-                    home.active += count
-                    span.set(granted=True, count=count,
-                             active=self.active,
-                             n_max=self.n_max_per_disk, shard=index)
+                home.active += count
+                if self.tracer.enabled:
+                    emit_span("admission.admit", self.tracer, {
+                        "granted": True, "count": count,
+                        "active": self.active,
+                        "n_max": self.n_max_per_disk, "shard": index})
                 if on_grant is not None:
                     on_grant(index, count)
                 return count

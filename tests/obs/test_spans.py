@@ -1,5 +1,8 @@
 """Span identity, propagation, emission, and tree reconstruction."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import NULL_TRACER, Tracer, validate_trace
@@ -27,6 +30,32 @@ class TestIdentity:
     def test_ids_are_unique(self):
         ids = {new_id() for _ in range(1000)}
         assert len(ids) == 1000
+
+    def test_ids_are_unique_across_threads_and_refills(self):
+        """Ids come from blocks formatted on refill; threads refilling
+        at once must still never share one."""
+        per_thread, threads = 3000, 8
+        minted = [[] for _ in range(threads)]
+
+        def mint(out):
+            for _ in range(per_thread):
+                out.append(new_id())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=mint, args=(out,))
+                    for out in minted]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [i for out in minted for i in out]
+        assert len(set(ids)) == len(ids) == per_thread * threads
+        assert all(len(i) >= 14 and int(i, 16) >= 0 for i in ids)
 
     def test_child_context_keeps_trace_and_links_parent(self):
         parent = SpanContext("trace-1", "span-a")

@@ -98,6 +98,70 @@ class TestAdmitChainRoundTrip:
         assert chain[0] == "client.admit"
         assert "http.admit" in chain
 
+    def test_admit_path_records_are_pinned(self, tmp_path):
+        """The daemon-side records of a single and a batch admit, key
+        order included, with ids, stamps and durations normalised."""
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sink=path)
+        tracer.start_run(seed=None)
+        daemon = ServeDaemon(ServeConfig(disks=2), tracer=tracer)
+        with ServeHandle(daemon) as handle:
+            with ServeClient(handle.url) as client:  # untraced
+                client.admit()
+                client.admit_many(3)
+        tracer.end_run()
+        tracer.close()
+        records = read_trace(path)
+        assert validate_trace(records) == []
+        names: dict = {}
+        pinned = []
+        for record in records:
+            if not record["kind"].startswith("span_"):
+                continue
+            assert isinstance(record["wall"], float)
+            shown = {}
+            for key, value in record.items():
+                if key in ("trace", "span", "parent"):
+                    value = names.setdefault(value, f"id{len(names)}")
+                elif key in ("seq", "wall", "seconds"):
+                    value = "*"
+                shown[key] = value
+            pinned.append(shown)
+
+        def start(trace, span, name, parent):
+            return {"kind": "span_start", "seq": "*", "wall": "*",
+                    "trace": trace, "span": span, "name": name,
+                    "parent": parent}
+
+        def end(trace, span, name, attrs):
+            return {"kind": "span_end", "seq": "*", "wall": "*",
+                    "trace": trace, "span": span, "name": name,
+                    "seconds": "*", "attrs": attrs}
+
+        assert pinned == [
+            start("id0", "id1", "http.admit", "id2"),
+            start("id0", "id3", "admission.admit", "id1"),
+            end("id0", "id3", "admission.admit",
+                {"granted": True, "count": 1, "active": 1, "n_max": 28,
+                 "shard": 0}),
+            start("id0", "id4", "ledger.append", "id1"),
+            end("id0", "id4", "ledger.append", {"stream": 0, "active": 1}),
+            end("id0", "id1", "http.admit", {"status": 200}),
+            start("id5", "id6", "http.admit_batch", "id7"),
+            start("id5", "id8", "admission.admit", "id6"),
+            end("id5", "id8", "admission.admit",
+                {"granted": True, "count": 3, "active": 4, "n_max": 28,
+                 "shard": 0}),
+            start("id5", "id9", "ledger.append", "id6"),
+            end("id5", "id9", "ledger.append",
+                {"stream": 1, "active": 4, "count": 3, "last_stream": 3}),
+            end("id5", "id6", "http.admit_batch", {"status": 200}),
+        ]
+        # Key order is part of the format: dict equality ignores it.
+        assert [list(r) for r in pinned] == [
+            list(start("", "", "", "")) if r["kind"] == "span_start"
+            else list(end("", "", "", {})) for r in pinned]
+
     def test_release_and_control_cycle_traced_too(self, traced):
         handle, client, tracer, path = traced
         ticket = client.admit()
