@@ -26,6 +26,15 @@ Identity and propagation follow the usual tracing model:
   trace-id and the daemon can tell a retried request from a fresh one
   (and keep its request counters honest).
 
+Records are filed with as few takes of the tracer's lock as the tree
+allows: a leaf span (:func:`emit_span`) waits with its parent's
+records and is filed with the parent's ``span_end``, and the span
+around one request, opened on the lean path of :func:`open_span` (no
+:class:`Span` object, no :class:`SpanContext`), files all of its
+records when :func:`close_span` ends it.  A span holds at most
+:data:`_HOLD_LIMIT` records back; reaching it files them early.
+Records filed together share one ``wall`` stamp.
+
 Durations are monotonic (``time.perf_counter``), never wall-clock
 differences.  With a disabled tracer :func:`start_span` returns the
 shared :data:`NOOP_SPAN`, costing one branch and no allocation -- the
@@ -52,6 +61,8 @@ __all__ = [
     "new_id",
     "start_span",
     "emit_span",
+    "open_span",
+    "close_span",
     "current_span",
     "format_trace_header",
     "parse_trace_header",
@@ -149,9 +160,16 @@ class _Active(threading.local):
 
 _ACTIVE = _Active()
 
+#: The most records a live span holds back (its own ``span_start``
+#: under :func:`open_span`, and its leaves'); reaching it files them.
+#: An admit holds five.
+_HOLD_LIMIT = 64
+
 
 def current_span():
-    """The innermost active :class:`Span` on this thread (or None)."""
+    """The innermost active span on this thread (or None): a
+    :class:`Span`, or the frame of a span opened by :func:`open_span`
+    (it carries the same ``trace_id``/``span_id``)."""
     stack = _ACTIVE.stack
     return stack[-1] if stack else None
 
@@ -162,29 +180,41 @@ class Span:
     ``time.perf_counter``).  Use as a context manager: entering pushes
     it on the thread-local stack so nested :func:`start_span` calls
     parent on it automatically; exiting pops and finishes (stamping
-    ``error`` when the body raised)."""
+    ``error`` when the body raised).
 
-    __slots__ = ("tracer", "context", "name", "attrs", "_t0",
-                 "_finished", "_pushed")
+    The span carries its ids as plain attributes; :attr:`context`
+    builds the :class:`SpanContext` only for a caller that asks.  The
+    records of leaf spans under it (:func:`emit_span`) wait in
+    ``_pending`` and are filed together with its ``span_end``.
+    """
 
-    def __init__(self, tracer: Tracer, context: SpanContext, name: str,
+    __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
+                 "attrs", "_t0", "_pending")
+
+    def __init__(self, tracer: Tracer, name: str, trace_id: str,
+                 span_id: str, parent_id: str | None = None,
                  attrs: dict | None = None) -> None:
         self.tracer = tracer
-        self.context = context
         self.name = name
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
         self.attrs: dict = {}
-        self._finished = False
-        self._pushed = False
+        self._pending: list | None = []
         record = {"kind": "span_start", "seq": 0, "wall": 0.0,
-                  "trace": context.trace_id, "span": context.span_id,
-                  "name": name}
-        if context.parent_id is not None:
-            record["parent"] = context.parent_id
+                  "trace": trace_id, "span": span_id, "name": name}
+        if parent_id is not None:
+            record["parent"] = parent_id
         if attrs:
             # start_span hands over a fresh kwargs dict; no copy needed.
             record["attrs"] = attrs
         self._t0 = time.perf_counter()
         tracer.emit_record(record)
+
+    @property
+    def context(self) -> SpanContext:
+        """This span's identity."""
+        return SpanContext(self.trace_id, self.span_id, self.parent_id)
 
     def set(self, **attrs) -> "Span":
         """Attach attributes, carried on the ``span_end`` record."""
@@ -192,42 +222,41 @@ class Span:
         return self
 
     def finish(self, **attrs) -> None:
-        """Emit ``span_end`` with the monotonic duration (idempotent)."""
-        if self._finished:
+        """Emit ``span_end`` with the monotonic duration, after the
+        records of its leaf spans, in one filing (idempotent)."""
+        records = self._pending
+        if records is None:
             return
-        self._finished = True
+        self._pending = None
         seconds = time.perf_counter() - self._t0
         if attrs:
             self.attrs.update(attrs)
         record = {"kind": "span_end", "seq": 0, "wall": 0.0,
-                  "trace": self.context.trace_id,
-                  "span": self.context.span_id,
+                  "trace": self.trace_id, "span": self.span_id,
                   "name": self.name, "seconds": seconds}
         if self.attrs:
             record["attrs"] = dict(self.attrs)
-        self.tracer.emit_record(record)
+        records.append(record)
+        self.tracer.emit_records(records)
 
     def __enter__(self) -> "Span":
         _ACTIVE.stack.append(self)
-        self._pushed = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._pushed:
-            stack = _ACTIVE.stack
-            if stack and stack[-1] is self:
-                stack.pop()
-            elif self in stack:  # defensive: out-of-order exits
-                stack.remove(self)
-            self._pushed = False
+        stack = _ACTIVE.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # defensive: out-of-order exits
+            stack.remove(self)
         if exc_type is not None and "error" not in self.attrs:
             self.attrs["error"] = exc_type.__name__
         self.finish()
         return False
 
     def __repr__(self) -> str:
-        return (f"Span({self.name!r}, trace={self.context.trace_id}, "
-                f"span={self.context.span_id})")
+        return (f"Span({self.name!r}, trace={self.trace_id}, "
+                f"span={self.span_id})")
 
 
 class _NoopSpan:
@@ -275,43 +304,120 @@ def start_span(name: str, *, tracer: Tracer | None = None,
     if not tracer.enabled:
         return NOOP_SPAN
     if parent is None:
-        parent = current_span()
-    context = getattr(parent, "context", parent)
-    if isinstance(context, SpanContext):
-        span_context = context.child()
+        stack = _ACTIVE.stack
+        parent = stack[-1] if stack else None
+    # A Span, a SpanContext and an open_span frame all carry trace_id
+    # and span_id.
+    parent_id = getattr(parent, "span_id", None)
+    if parent_id is None:
+        return Span(tracer, name, trace_id or new_id(), new_id(), None,
+                    attrs)
+    return Span(tracer, name, parent.trace_id, new_id(), parent_id,
+                attrs)
+
+
+class _Frame:
+    """A span opened by :func:`open_span`: what its children need of
+    it (tracer, ids, the records waiting to be filed) and what
+    :func:`close_span` needs to end it -- without a :class:`Span`."""
+
+    __slots__ = ("tracer", "name", "trace_id", "span_id", "_t0",
+                 "_pending")
+
+
+def open_span(name: str, tracer: Tracer, parent: SpanContext | None,
+              attrs: dict | None = None) -> _Frame:
+    """The lean path for the span around one request: make it this
+    thread's current span (a child of ``parent``, or a new trace)
+    until :func:`close_span`, which files all its records at once.
+
+    The records are exactly those of ``with start_span(name,
+    tracer=tracer, parent=parent, **attrs)`` -- what it skips is the
+    :class:`Span` object, its method calls and one filing: the
+    ``span_start`` waits, with the records of the leaf spans under
+    it, for the ``span_end``, so a request still in flight is not yet
+    in the trace.  The caller guards with ``if tracer.enabled:`` and
+    closes the span on the same thread, innermost first.
+    """
+    frame = _Frame()
+    frame.tracer = tracer
+    frame.name = name
+    if parent is None:
+        trace_id = frame.trace_id = new_id()
+        span_id = frame.span_id = new_id()
+        record = {"kind": "span_start", "seq": 0, "wall": 0.0,
+                  "trace": trace_id, "span": span_id, "name": name}
     else:
-        span_context = SpanContext(trace_id or new_id(), new_id())
-    return Span(tracer, span_context, name, attrs or None)
+        trace_id = frame.trace_id = parent.trace_id
+        span_id = frame.span_id = new_id()
+        record = {"kind": "span_start", "seq": 0, "wall": 0.0,
+                  "trace": trace_id, "span": span_id, "name": name,
+                  "parent": parent.span_id}
+    if attrs:
+        record["attrs"] = attrs
+    frame._pending = [record]
+    frame._t0 = time.perf_counter()
+    _ACTIVE.stack.append(frame)
+    return frame
+
+
+def close_span(frame: _Frame, attrs: dict) -> None:
+    """End a span opened by :func:`open_span`: pop it and file its
+    records, the ``span_end`` (carrying ``attrs``) last, in one
+    filing."""
+    seconds = time.perf_counter() - frame._t0
+    _ACTIVE.stack.pop()
+    records = frame._pending
+    records.append({"kind": "span_end", "seq": 0, "wall": 0.0,
+                    "trace": frame.trace_id, "span": frame.span_id,
+                    "name": frame.name, "seconds": seconds,
+                    "attrs": attrs})
+    frame.tracer.emit_records(records)
 
 
 def emit_span(name: str, tracer: Tracer, attrs: dict) -> None:
-    """Record a finished leaf span under the current span in one call.
+    """Record a finished leaf span under the current span.
 
-    Emits the same ``span_start``/``span_end`` pair as ``with
+    The same ``span_start``/``span_end`` pair as ``with
     start_span(name, tracer=tracer) as span: span.set(**attrs)``, for
     a span that times no work of its own (the admit path's
-    ``admission.admit`` and ``ledger.append``) -- without a
-    :class:`Span` object or the thread-local push and pop.  ``attrs``
-    is taken over by the end record.  Callers guard with ``if
-    tracer.enabled:``, which also spares the spans-off path computing
-    the attribute values.
+    ``admission.admit`` and ``ledger.append``), so its ``seconds`` is
+    0.  Under a live span of the same tracer the pair waits with that
+    span's records and is filed with its ``span_end``, or sooner, once
+    the span holds :data:`_HOLD_LIMIT` records, so a long-lived span
+    never keeps more than that back; otherwise it is filed at once
+    (with no current span, as the root of a new trace).
+    ``attrs`` is taken over by the end record.  Callers guard with
+    ``if tracer.enabled:``, which also spares the spans-off path
+    computing the attribute values.
     """
     stack = _ACTIVE.stack
-    parent = stack[-1].context if stack else None
-    trace_id = new_id() if parent is None else parent.trace_id
-    span_id = new_id()
-    start = {"kind": "span_start", "seq": 0, "wall": 0.0,
-             "trace": trace_id, "span": span_id, "name": name}
-    if parent is not None:
-        start["parent"] = parent.span_id
-    t0 = time.perf_counter()
-    tracer.emit_record(start)
-    end = {"kind": "span_end", "seq": 0, "wall": 0.0,
-           "trace": trace_id, "span": span_id, "name": name,
-           "seconds": time.perf_counter() - t0}
-    if attrs:
-        end["attrs"] = attrs
-    tracer.emit_record(end)
+    if stack:
+        parent = stack[-1]
+        trace_id = parent.trace_id
+        span_id = new_id()
+        pair = [{"kind": "span_start", "seq": 0, "wall": 0.0,
+                 "trace": trace_id, "span": span_id, "name": name,
+                 "parent": parent.span_id},
+                {"kind": "span_end", "seq": 0, "wall": 0.0,
+                 "trace": trace_id, "span": span_id, "name": name,
+                 "seconds": 0.0, "attrs": attrs}]
+        held = parent._pending
+        if held is not None and parent.tracer is tracer:
+            held += pair
+            if len(held) < _HOLD_LIMIT:
+                return
+            parent._pending = []
+            pair = held
+    else:
+        trace_id = new_id()
+        span_id = new_id()
+        pair = [{"kind": "span_start", "seq": 0, "wall": 0.0,
+                 "trace": trace_id, "span": span_id, "name": name},
+                {"kind": "span_end", "seq": 0, "wall": 0.0,
+                 "trace": trace_id, "span": span_id, "name": name,
+                 "seconds": 0.0, "attrs": attrs}]
+    tracer.emit_records(pair)
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,25 @@ class Tracer:
             self._drain()
         return record
 
+    def emit_records(self, records: list) -> None:
+        """:meth:`emit_record` for several records at once: filed in
+        order, with consecutive ``seq`` values and one ``wall`` stamp,
+        under one acquisition of the emit lock.  The caller hands over
+        the list and its records."""
+        if not self.enabled:
+            return
+        with self._emit_lock:
+            wall = self._clock()
+            for seq, record in enumerate(records, self._seq):
+                record["seq"] = seq
+                record["wall"] = wall
+            self._seq += len(records)
+            self._records.extend(records)
+            if self._has_sink:
+                self._pending.extend(records)
+        if len(self._pending) >= _PENDING_FLUSH:
+            self._drain()
+
     @property
     def emitted(self) -> int:
         """Records emitted so far (one ``seq`` each)."""

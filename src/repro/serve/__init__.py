@@ -11,10 +11,11 @@ long-running daemon:
   :class:`~repro.server.admission.AdmissionController`, applies the
   shedding policy live as disk fail/recover events arrive, and keeps
   every counter in a :class:`~repro.obs.metrics.MetricsRegistry`;
-- :mod:`~repro.serve.http` -- a stdlib ``ThreadingHTTPServer`` front
-  end exposing ``POST /admit``, ``POST /release``, ``POST /fault`` and
-  ``GET /metrics`` (Prometheus text exposition), ``GET /healthz``,
-  ``GET /state``;
+- :mod:`~repro.serve.http` -- the HTTP/1.1 front end, a
+  ``socketserver.ThreadingTCPServer`` (a thread per connection) with
+  the daemon's own request codec, exposing ``POST /admit``,
+  ``POST /release``, ``POST /fault`` and ``GET /metrics`` (Prometheus
+  text exposition), ``GET /healthz``, ``GET /state``;
 - :class:`~repro.serve.http.FaultFeed` -- replays a TOML
   :class:`~repro.server.faults.FaultSchedule` against the daemon in
   scaled wall-clock time;

@@ -394,15 +394,16 @@ class ServeClient:
         op_span = start_span(f"client.{op}", tracer=tracer,
                              method=method, path=path)
         with op_span:
-            trace_id = (op_span.context.trace_id
-                        if op_span.context is not None else new_id())
+            op_context = op_span.context
+            if op_context is None:
+                parent, trace_id = None, new_id()
+            else:
+                parent, trace_id = op_context, op_context.trace_id
             last: BaseException | None = None
             for attempt in range(self.retries):
                 number = attempt + 1
                 attempt_span = start_span(
-                    "client.request", tracer=tracer,
-                    parent=(op_span if op_span.context is not None
-                            else None),
+                    "client.request", tracer=tracer, parent=parent,
                     trace_id=trace_id, attempt=number)
                 with attempt_span:
                     # The wire context is the attempt span when traced;

@@ -226,6 +226,9 @@ class ServeDaemon:
         self._restored_clean = False
 
         m = self.registry
+        #: Request counters by op, filled by _count_request.
+        self._request_counters: dict = {}
+        self._retried_counters: dict = {}
         self._admitted = m.counter(
             "serve_admitted_total",
             help="Streams admitted by the daemon")
@@ -329,16 +332,24 @@ class ServeDaemon:
     def _count_request(self, op: str, retried: bool = False) -> None:
         """Count one answered request.  Retried attempts (client
         stamped ``attempt > 1`` in ``X-Repro-Trace``) land in their own
-        counter so a flaky network cannot inflate the primary rates."""
-        if retried:
-            self.registry.counter(
-                "serve_requests_retried_total", {"op": op},
-                help="Retried client attempts answered (attempt > 1 "
-                "in X-Repro-Trace), by operation").inc()
-            return
-        self.registry.counter(
-            "serve_requests_total", {"op": op},
-            help="Requests answered, by operation").inc()
+        counter so a flaky network cannot inflate the primary rates.
+        Each op's counter is resolved in the registry on its first
+        request (so its series appears only then) and held after."""
+        counters = (self._retried_counters if retried
+                    else self._request_counters)
+        counter = counters.get(op)
+        if counter is None:
+            if retried:
+                counter = self.registry.counter(
+                    "serve_requests_retried_total", {"op": op},
+                    help="Retried client attempts answered (attempt > 1"
+                    " in X-Repro-Trace), by operation")
+            else:
+                counter = self.registry.counter(
+                    "serve_requests_total", {"op": op},
+                    help="Requests answered, by operation")
+            counters[op] = counter
+        counter.inc()
 
     def _grant_tickets(self, out: dict):
         """Build the controller ``on_grant`` callback: issue a block

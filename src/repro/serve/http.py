@@ -1,7 +1,8 @@
 """HTTP front end for :class:`~repro.serve.daemon.ServeDaemon`.
 
-A stdlib ``ThreadingHTTPServer`` (one thread per connection, no
-external dependencies) exposing:
+A ``socketserver.ThreadingTCPServer`` (one thread per connection, no
+external dependencies) speaking HTTP/1.1 through the daemon's own
+request codec, exposing:
 
 - ``POST /admit``   -> 200 ``{"stream": ..., "active": ...}`` or
   409 ``{"error": ...}`` when admission would break the guarantee;
@@ -29,9 +30,28 @@ external dependencies) exposing:
 - ``GET /slo``      -> ε error-budget view: burn rates over the
   fast/slow round windows, alert state, budget remaining.
 
+The codec (:class:`_Handler`) is the server-side twin of the client's
+``_Connection``: it reads the request line and the headers with
+bounded ``readline`` calls -- a line of at most 64 KiB, at most 100
+headers, names matched in any case -- then exactly ``Content-Length``
+body bytes, and writes each reply in one send: the status line, the
+``Server``/``Date`` lines (cached per second), ``Content-Type``,
+``Content-Length``, ``Connection: close`` when the connection ends,
+and the body.  A request it cannot frame is refused before dispatch,
+with a JSON ``{"error": ...}`` body like every other error, and the
+connection closes, because what follows on it cannot be parsed: a
+request line over 64 KiB gets 414; a header line over 64 KiB or more
+than 100 headers, 431; a malformed request line, a header line
+without a colon, a ``Content-Length`` that is not ASCII digits, two
+that differ, or a body over 64 KiB or shorter than announced, 400;
+any ``Transfer-Encoding`` or an unknown method, 501; HTTP/2 or later,
+505.
+
 Connections are HTTP/1.1 persistent: a keep-alive client
 (:class:`~repro.serve.client.ServeClient`) pays the TCP handshake
-once and its requests keep landing on the same worker thread.  The
+once and its requests keep landing on the same worker thread;
+requests pipelined in one send are answered in order.  HTTP/1.0
+requests and ``Connection: close`` close after the reply.  The
 server tracks live connection sockets and force-closes them on
 shutdown, so ``block_on_close`` can still join every worker and a
 clean exit leaks nothing.
@@ -49,13 +69,15 @@ opens an ``http.<op>`` span parented on the client's span context (so
 one JSONL trace reconstructs client -> HTTP -> admission -> ledger),
 and the attempt number stamped by :class:`~repro.serve.client.
 ServeClient` retries routes attempt > 1 into the daemon's *retried*
-request counter instead of the primary one.  ``/release`` and
-``/release/batch`` are the unspanned mutations -- they stay fully
-counter-visible, but the admit chain is the traced artifact and
-skipping one span per admit/release cycle keeps tracing inside the
-A26 overhead budget.  A batch admit opens one ``http.admit_batch``
-span for the whole batch (per-ticket events would defeat the
-amortisation the endpoint exists for).
+request counter instead of the primary one.  The span takes the lean
+path of :func:`~repro.obs.spans.open_span` and is filed just before
+the reply is written, so it covers the handler's work but not the
+socket write.  ``/release`` and ``/release/batch`` are the unspanned
+mutations -- they stay fully counter-visible, but the admit chain is
+the traced artifact and skipping one span per admit/release cycle
+keeps tracing inside the A26 overhead budget.  A batch admit opens
+one ``http.admit_batch`` span for the whole batch (per-ticket events
+would defeat the amortisation the endpoint exists for).
 
 :class:`ServeHandle` owns the server lifecycle: ``start()`` spawns the
 accept loop thread, ``stop()`` first stops any attached background
@@ -71,15 +93,23 @@ tick_round`) at a fixed wall-clock cadence.
 
 from __future__ import annotations
 
+import email.utils
 import json
+import re
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from repro.errors import AdmissionError, ConfigurationError, ReproError
-from repro.obs.spans import TRACE_HEADER, parse_trace_header, start_span
+from repro.obs.spans import (
+    TRACE_HEADER,
+    close_span,
+    open_span,
+    parse_trace_header,
+)
 from repro.serve.daemon import ServeDaemon
 
 __all__ = ["ServeHandle", "FaultFeed", "RoundTicker",
@@ -95,9 +125,21 @@ _SPAN_NAMES = {"/admit": "http.admit",
 #: Routes that are counter-visible but never spanned (see module doc).
 _UNSPANNED = ("/release", "/release/batch")
 _MAX_BODY = 64 * 1024
+#: The client's limits on a request: the longest request or header
+#: line, and the most header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: ``HTTP-version`` of RFC 9112: one digit each side of the dot.
+_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
+_STATUS_LINES = {status.value: b"HTTP/1.1 %d %s\r\n"
+                 % (status.value, status.phrase.encode("latin-1"))
+                 for status in HTTPStatus}
+_SERVER = b"Server: repro-serve/1.0\r\n"
+_JSON_TYPE = b"Content-Type: application/json\r\n"
+_PROMETHEUS_TYPE = b"Content-Type: %s\r\n" % PROMETHEUS_CONTENT_TYPE.encode()
 
 
-class _ServeHTTPServer(ThreadingHTTPServer):
+class _ServeHTTPServer(socketserver.ThreadingTCPServer):
     """Request-per-thread server that joins its workers on close.
 
     Keep-alive means a worker thread lives as long as its connection:
@@ -124,6 +166,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         #: Pre-encoded healthz prefix: ((degraded, active, capacity),
         #: bytes up to the uptime value).
         self.healthz_cache: tuple = (None, b"")
+        #: The ``Server`` and ``Date`` lines of every reply sent in
+        #: one second: (that second, the lines).
+        self.reply_lines: tuple = (None, b"")
 
     def get_request(self):
         request, address = super().get_request()
@@ -158,6 +203,11 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+def _json_bytes(data: dict) -> bytes:
+    """A JSON reply body."""
+    return (json.dumps(data) + "\n").encode("utf-8")
+
+
 def _field(body: dict, key: str, default, kind):
     """``kind(body[key])`` (``default`` when absent); a value that does
     not convert is a client error, not a handler crash."""
@@ -170,50 +220,165 @@ def _field(body: dict, key: str, default, kind):
             f", got {value!r}") from None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests into the daemon; all responses are JSON except
-    ``/metrics``."""
+class _Headers(dict):
+    """Request headers keyed by lower-cased name (the first of
+    repeated headers wins); :meth:`get` takes a name in any case."""
 
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    #: Buffer the response writer so headers + body leave in ONE
-    #: send() (handle_one_request flushes after each response).  With
-    #: the default unbuffered wfile the body is a second small packet
-    #: that Nagle holds until the client ACKs the header packet --
-    #: a ~40ms delayed-ACK stall per keep-alive response.
-    wbufsize = -1
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection's HTTP/1.1 codec; routes requests into the
+    daemon.  All responses are JSON except ``/metrics``.
+
+    ``handle_one_request``, ``parse_request``, ``send_response``,
+    ``do_POST`` and ``do_GET`` keep the names of the standard
+    library's request handler and are always called through ``self``,
+    so a wrapper installed on the class (the repository benchmark's
+    traced run) sees every request.
+    """
+
     disable_nagle_algorithm = True
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib name
-        """Quiet by default; the metrics registry is the access log."""
+    def handle(self) -> None:
+        """Answer requests until the connection is to close."""
+        self.close_connection = False
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read one request line (blocking), then parse and answer the
+        request it starts."""
+        self.raw_requestline = self.rfile.readline(_MAX_LINE + 1)
+        if not self.raw_requestline:
+            self.close_connection = True  # the client hung up
+            return
+        if not self.parse_request():
+            return
+        route = getattr(self, "do_" + self.command, None)
+        if route is None:
+            self._refuse(501, f"unsupported method {self.command!r}")
+            return
+        route()
+
+    def parse_request(self) -> bool:
+        """Parse the request line, the headers and the body into
+        ``command``, ``path``, ``headers`` and ``body``.  Returns False
+        when the request was refused or the line was blank; the
+        connection then closes."""
+        self.close_connection = True
+        line = self.raw_requestline
+        if len(line) > _MAX_LINE:
+            return self._refuse(414, "request line too long")
+        words = line.decode("latin-1").split()
+        if not words:
+            return False
+        if len(words) != 3 or not _VERSION.fullmatch(words[2]):
+            return self._refuse(400, f"bad request line {line[:80]!r}")
+        self.command, self.path, version = words
+        if version >= "HTTP/2.0":
+            return self._refuse(505, f"{version} is not supported")
+        headers = self.headers = _Headers()
+        rfile = self.rfile
+        count = 0
+        while True:
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._refuse(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > _MAX_HEADERS:
+                return self._refuse(431,
+                                    f"more than {_MAX_HEADERS} headers")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                return self._refuse(
+                    400, f"header line without a colon: {line[:80]!r}")
+            name = name.strip().lower()
+            value = value.strip()
+            first = headers.setdefault(name, value)
+            if name == "content-length" and first != value:
+                return self._refuse(
+                    400, "two different Content-Length headers")
+        if "transfer-encoding" in headers:
+            return self._refuse(
+                501, "Transfer-Encoding is not supported; send the body "
+                "with a Content-Length")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return self._refuse(
+                400, f"Content-Length must be a non-negative integer, "
+                f"got {length!r}")
+        try:
+            size = int(length)
+        except ValueError:  # more digits than int() will parse
+            size = _MAX_BODY + 1
+        if size > _MAX_BODY:
+            return self._refuse(
+                400, f"request body too large (over {_MAX_BODY} bytes)")
+        if version >= "HTTP/1.1":
+            if headers.get("expect", "").lower() == "100-continue":
+                self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.close_connection = (
+                headers.get("connection", "").lower() == "close")
+        self.body = rfile.read(size) if size else b""
+        if len(self.body) < size:
+            return self._refuse(
+                400, "request body ended before its Content-Length")
+        return True
+
+    def send_response(self, code: int, message: str | None = None) -> None:
+        """Begin the reply to ``code``: its status line (``message``
+        is the reason phrase, default the standard one) and the
+        ``Server``/``Date`` lines, which :meth:`_send` writes with the
+        rest of the reply."""
+        now = int(time.time())
+        second, lines = self.server.reply_lines
+        if second != now:
+            lines = _SERVER + b"Date: %s\r\n" % email.utils.formatdate(
+                now, usegmt=True).encode("ascii")
+            self.server.reply_lines = (now, lines)
+        if message is None:
+            self._head = _STATUS_LINES[code] + lines
+        else:
+            self._head = b"HTTP/1.1 %d %s\r\n%s" % (
+                code, message.encode("latin-1"), lines)
+
+    def _refuse(self, status: int, message: str) -> bool:
+        """Answer a request that cannot be served and hang up.
+        Returns False, for :meth:`parse_request` to pass on."""
+        self.close_connection = True
+        self._send_json(status, {"error": message})
+        return False
 
     # -- plumbing ------------------------------------------------------
     def _send(self, status: int, payload: bytes,
-              content_type: str = "application/json") -> None:
+              content_type: bytes = _JSON_TYPE) -> None:
+        """Write the whole reply in one send."""
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        self.connection.sendall(b"%s%sContent-Length: %d\r\n%s\r\n%s" % (
+            self._head, content_type, len(payload),
+            b"Connection: close\r\n" if self.close_connection else b"",
+            payload))
 
-    def _send_json(self, status: int, data: dict) -> int:
-        self._send(status, (json.dumps(data) + "\n").encode("utf-8"))
-        return status
+    def _send_json(self, status: int, data: dict) -> None:
+        self._send(status, _json_bytes(data))
 
-    def _send_reject(self, exc: AdmissionError) -> int:
-        """409 from the pre-encoded one-slot cache.  At capacity every
-        reject carries the same message (same active count, same
-        limit), so the overload path never touches ``json.dumps``."""
+    def _reject_body(self, exc: AdmissionError) -> bytes:
+        """The 409 body, from the pre-encoded one-slot cache.  At
+        capacity every reject carries the same message (same active
+        count, same limit), so the overload path never touches
+        ``json.dumps``."""
         message = str(exc)
         key, body = self.server.reject_cache
         if key != message:
-            body = (json.dumps({"error": message, "admitted": False})
-                    + "\n").encode("utf-8")
+            body = _json_bytes({"error": message, "admitted": False})
             self.server.reject_cache = (message, body)
-        self._send(409, body)
-        return 409
+        return body
 
     def _send_healthz(self) -> None:
         """Liveness from a pre-encoded prefix; only the uptime float
@@ -234,27 +399,13 @@ class _Handler(BaseHTTPRequestHandler):
         uptime = time.time() - daemon.started_at
         self._send(200, prefix + repr(uptime).encode("ascii") + b"}\n")
 
-    def _read_body(self) -> dict:
-        header = self.headers.get("Content-Length")
-        try:
-            length = 0 if header is None else int(header)
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY:
-            # The body is left unread, so the next request on this
-            # connection would start mid-body: answer, then hang up.
-            self.close_connection = True
-            if length < 0:
-                raise ConfigurationError(
-                    f"Content-Length must be a non-negative integer, "
-                    f"got {header!r}")
-            raise ConfigurationError(
-                f"request body too large ({length} bytes)")
-        if length == 0:
+    def _json_body(self) -> dict:
+        """The request body as a JSON object (``{}`` when empty)."""
+        raw = self.body
+        if not raw.strip():
             return {}
-        raw = self.rfile.read(length)
         try:
-            data = json.loads(raw.decode("utf-8")) if raw.strip() else {}
+            data = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"request body is not JSON: {exc}") from None
@@ -271,7 +422,7 @@ class _Handler(BaseHTTPRequestHandler):
             daemon.refresh_export_metrics()
             text = daemon.registry.to_prometheus()
             self._send(200, text.encode("utf-8"),
-                       content_type=PROMETHEUS_CONTENT_TYPE)
+                       content_type=_PROMETHEUS_TYPE)
         elif self.path == "/healthz":
             self._send_healthz()
         elif self.path == "/state":
@@ -295,41 +446,46 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.server.daemon
         context, attempt = parse_trace_header(
             self.headers.get(TRACE_HEADER))
-        if self.path in _UNSPANNED:
-            self._dispatch_post(daemon, attempt > 1)
+        retried = attempt > 1
+        tracer = daemon.tracer
+        if not tracer.enabled or self.path in _UNSPANNED:
+            self._send(*self._dispatch_post(daemon, retried))
             return
         name = _SPAN_NAMES.get(self.path)
         if name is None:
             op = self.path.strip("/").replace("/", ".") or "root"
             name = f"http.{op}"
-        if attempt > 1:
-            span = start_span(name, tracer=daemon.tracer,
-                              parent=context, attempt=attempt)
-        else:
-            span = start_span(name, tracer=daemon.tracer,
-                              parent=context)
-        with span:
-            status = self._dispatch_post(daemon, attempt > 1)
-            span.set(status=status)
+        span = open_span(name, tracer, context,
+                         {"attempt": attempt} if retried else None)
+        try:
+            status, payload = self._dispatch_post(daemon, retried)
+        except BaseException as exc:
+            close_span(span, {"error": type(exc).__name__})
+            raise
+        # Filed before the reply leaves: the span covers the handler's
+        # work, not the socket write, and the client is not kept
+        # waiting on the bookkeeping.
+        close_span(span, {"status": status})
+        self._send(status, payload)
 
     def _dispatch_post(self, daemon: ServeDaemon,
-                       retried: bool) -> int:
-        """Route one mutating request; returns the HTTP status sent."""
+                       retried: bool) -> tuple[int, bytes]:
+        """Route one mutating request; returns the reply's status and
+        body, for the caller to send."""
         try:
-            body = self._read_body()
+            body = self._json_body()
             if self.path == "/admit":
-                return self._send_json(200,
-                                       daemon.admit(retried=retried))
+                return 200, _json_bytes(daemon.admit(retried=retried))
             if self.path == "/admit/batch":
                 count = _field(body, "count", 1, int)
-                return self._send_json(
-                    200, daemon.admit_many(count, retried=retried))
+                return 200, _json_bytes(
+                    daemon.admit_many(count, retried=retried))
             if self.path == "/release":
                 stream = body.get("stream")
                 if stream is not None:
                     stream = _field(body, "stream", None, int)
-                return self._send_json(
-                    200, daemon.release(stream, retried=retried))
+                return 200, _json_bytes(
+                    daemon.release(stream, retried=retried))
             if self.path == "/release/batch":
                 raw = body.get("streams")
                 if not isinstance(raw, list):
@@ -341,31 +497,28 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ConfigurationError(
                         f"release batch 'streams' must be integers, "
                         f"got {raw!r}") from None
-                return self._send_json(
-                    200, daemon.release_many(streams,
-                                             retried=retried))
+                return 200, _json_bytes(
+                    daemon.release_many(streams, retried=retried))
             if self.path == "/fault":
                 kind = body.get("kind")
                 if not kind:
                     raise ConfigurationError(
                         "fault body needs a 'kind' key")
-                return self._send_json(
-                    200, daemon.fault(
-                        str(kind), _field(body, "disk", 0, int),
-                        factor=_field(body, "factor", 1.0, float),
-                        retried=retried))
+                return 200, _json_bytes(daemon.fault(
+                    str(kind), _field(body, "disk", 0, int),
+                    factor=_field(body, "factor", 1.0, float),
+                    retried=retried))
             if self.path == "/snapshot":
                 written = daemon.save_snapshot()
                 if written is None:
                     raise ConfigurationError(
                         "daemon has no --snapshot-path configured")
-                return self._send_json(200, {"written": str(written)})
-            return self._send_json(
-                404, {"error": f"no route {self.path!r}"})
+                return 200, _json_bytes({"written": str(written)})
+            return 404, _json_bytes({"error": f"no route {self.path!r}"})
         except AdmissionError as exc:
-            return self._send_reject(exc)
+            return 409, self._reject_body(exc)
         except ReproError as exc:
-            return self._send_json(400, {"error": str(exc)})
+            return 400, _json_bytes({"error": str(exc)})
 
 
 class ServeHandle:

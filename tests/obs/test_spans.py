@@ -7,13 +7,17 @@ import pytest
 
 from repro.obs import NULL_TRACER, Tracer, validate_trace
 from repro.obs.spans import (
+    _HOLD_LIMIT,
     NOOP_SPAN,
     SpanContext,
     build_span_trees,
+    close_span,
     critical_path,
     current_span,
+    emit_span,
     format_trace_header,
     new_id,
+    open_span,
     parse_trace_header,
     render_span_tree,
     start_span,
@@ -156,6 +160,135 @@ class TestLiveSpans:
             span.set(x=1)
         assert NULL_TRACER.emitted == before
         assert current_span() is None
+
+
+def _normalised(records):
+    """Span records with ids renamed in order of appearance and the
+    stamps and durations blanked, key order kept."""
+    names: dict = {}
+    shown = []
+    for record in records:
+        row = {}
+        for key, value in record.items():
+            if key in ("trace", "span", "parent"):
+                value = names.setdefault(value, f"id{len(names)}")
+            elif key in ("seq", "wall", "seconds"):
+                value = "*"
+            row[key] = value
+        shown.append(row)
+    return shown
+
+
+class TestFiling:
+    """Leaf spans wait for their parent; a request span files once."""
+
+    def test_leaves_are_filed_with_the_parent_end(self):
+        tracer = make_tracer()
+        tracer.start_run(seed=0)
+        with start_span("op", tracer=tracer) as span:
+            emit_span("leaf", tracer, {"n": 1})
+            assert [r["name"] for r in tracer.records()[1:]] == ["op"]
+            assert current_span() is span
+        kinds = [(r["kind"], r["name"]) for r in tracer.records()[1:]]
+        assert kinds == [("span_start", "op"), ("span_start", "leaf"),
+                         ("span_end", "leaf"), ("span_end", "op")]
+        leaf_start, leaf_end = tracer.records()[2:4]
+        assert leaf_start["parent"] == span.span_id
+        assert leaf_end["attrs"] == {"n": 1}
+        assert leaf_end["seconds"] == 0.0
+        assert validate_trace(tracer.records()) == []
+
+    def test_leaf_without_a_span_is_a_root_filed_at_once(self):
+        tracer = make_tracer()
+        emit_span("alone", tracer, {"n": 2})
+        start, end = tracer.records()
+        assert "parent" not in start
+        assert start["trace"] == end["trace"] != start["span"]
+        assert end["attrs"] == {"n": 2}
+
+    def test_leaf_under_another_tracers_span_is_filed_at_once(self):
+        outer, inner = make_tracer(), make_tracer()
+        with start_span("op", tracer=outer) as span:
+            emit_span("leaf", inner, {"n": 3})
+            start, _end = inner.records()
+            assert start["parent"] == span.span_id
+            assert start["trace"] == span.trace_id
+        assert [r["name"] for r in outer.records()] == ["op", "op"]
+
+    def test_open_span_records_equal_start_span_records(self):
+        via_span, lean = make_tracer(), make_tracer()
+        via_span.start_run(seed=0)
+        lean.start_run(seed=0)
+        remote = SpanContext("client-trace", "client-span")
+        with start_span("http.admit", tracer=via_span, parent=remote,
+                        attempt=2) as span:
+            emit_span("admission.admit", via_span, {"granted": True})
+            emit_span("ledger.append", via_span, {"stream": 0})
+            span.set(status=200)
+        frame = open_span("http.admit", lean, remote, {"attempt": 2})
+        assert current_span() is frame
+        emit_span("admission.admit", lean, {"granted": True})
+        emit_span("ledger.append", lean, {"stream": 0})
+        assert len(lean.records()) == 1  # filed only when it closes
+        close_span(frame, {"status": 200})
+        assert current_span() is None
+        assert _normalised(lean.records()) == _normalised(
+            via_span.records())
+        assert lean.records()[1]["trace"] == "client-trace"
+        assert validate_trace(lean.records()) == []
+
+    def test_open_span_without_parent_starts_a_trace(self):
+        tracer = make_tracer()
+        frame = open_span("http.fault", tracer, None)
+        with start_span("nested", tracer=tracer) as nested:
+            assert nested.parent_id == frame.span_id
+            assert nested.trace_id == frame.trace_id
+        close_span(frame, {"error": "OSError"})
+        start = [r for r in tracer.records() if r["name"] == "http.fault"]
+        assert "parent" not in start[0]
+        assert start[1]["attrs"] == {"error": "OSError"}
+
+    def test_long_lived_span_holds_at_most_the_limit(self):
+        tracer = make_tracer()
+        tracer.start_run(seed=0)
+        leaves = 3 * _HOLD_LIMIT
+        with start_span("embedding", tracer=tracer) as span:
+            for n in range(leaves):
+                emit_span("leaf", tracer, {"n": n})
+                # run_start and the span's own start are filed too.
+                held = 2 * (n + 1) - (len(tracer.records()) - 2)
+                assert 0 <= held < _HOLD_LIMIT
+        records = tracer.records()
+        assert len(records) == 2 * leaves + 3
+        assert [r["attrs"]["n"] for r in records
+                if r["kind"] == "span_end" and r["name"] == "leaf"] == (
+            list(range(leaves)))
+        assert validate_trace(records) == []
+        (root,) = build_span_trees(records)
+        assert root.span_id == span.span_id
+        assert len(root.children) == leaves
+
+    def test_request_span_files_early_at_the_limit(self):
+        tracer = make_tracer()
+        frame = open_span("http.admit_batch", tracer, None)
+        for n in range(_HOLD_LIMIT):
+            emit_span("leaf", tracer, {"n": n})
+        assert tracer.records()[0]["name"] == "http.admit_batch"
+        close_span(frame, {"status": 200})
+        records = tracer.records()
+        assert len(records) == 2 * _HOLD_LIMIT + 2
+        (root,) = build_span_trees(records)
+        assert root.complete and len(root.children) == _HOLD_LIMIT
+
+    def test_records_filed_together_share_seq_run_and_wall(self):
+        tracer = Tracer()
+        tracer.emit("before")
+        tracer.emit_records([{"kind": "a", "seq": 0, "wall": 0.0},
+                             {"kind": "b", "seq": 0, "wall": 0.0}])
+        before, first, second = tracer.records()
+        assert (first["seq"], second["seq"]) == (1, 2)
+        assert first["wall"] == second["wall"] >= before["wall"]
+        assert tracer.emitted == 3
 
 
 class TestTreeReconstruction:

@@ -160,6 +160,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("length, message", [
         ("abc", "Content-Length"), ("-5", "Content-Length"),
         ("1.5", "Content-Length"), ("", "Content-Length"),
+        ("1_2", "Content-Length"), ("+2", "Content-Length"),
+        ("2 x", "Content-Length"), ("0x2", "Content-Length"),
         (str(10**6), "too large"),
     ])
     def test_bad_content_length_is_400_and_closes(self, served, capfd,
